@@ -37,11 +37,174 @@ struct ClassAccumulator {
   std::map<int64_t, std::pair<double, uint64_t>> buckets;
 };
 
+/// A fully private DES world for one candidate: same seed everywhere, so
+/// two candidates differ only by the plan they run under.
+///
+/// Memory follows the queries in flight, not the trace. Arrivals are
+/// chained: one FIFO rank is reserved per record up front, and arrival i
+/// first schedules arrival i+1 under that record's (time, rank) key, then
+/// materializes and submits its own query. So exactly one arrival is ever
+/// pending, and since that next arrival always sits in the heap before any
+/// later pop, the fire order — and with it the codec's stateful
+/// Materialize sequence and every floating-point sum below — is the one
+/// scheduling all arrivals up front would give. Completions fold straight
+/// into per-class accumulators.
+class ShadowWorld {
+ public:
+  ShadowWorld(const ShadowPlannerOptions& options,
+              const sched::ServiceClassSet& classes,
+              const PlanCandidate& candidate,
+              const std::vector<TraceRecord>& records, double time_scale)
+      : classes_(classes),
+        records_(records),
+        time_scale_(time_scale),
+        base_ns_(records.empty() ? 0 : records.front().arrival_ns),
+        config_(WithoutTelemetry(candidate.config)),
+        frozen_plan_(candidate.frozen_plan),
+        report_interval_(options.report_interval_seconds > 0.0
+                             ? options.report_interval_seconds
+                             : config_.control_interval_seconds),
+        engine_(&sim_, options.engine, Rng(options.seed).Fork(1)),
+        scheduler_(&sim_, &engine_, &classes, config_),
+        codec_(options.tpch, options.tpcc, options.seed + 1) {
+    if (frozen_plan_) {
+      sched::SchedulingPlan plan;
+      plan.cost_limits = candidate.frozen_limits;
+      scheduler_.dispatcher().SetPlan(plan);
+    }
+  }
+
+  ShadowWorld(const ShadowWorld&) = delete;
+  ShadowWorld& operator=(const ShadowWorld&) = delete;
+
+  /// Replays the whole trace and scores the outcome (name left empty).
+  ShadowOutcome Run() {
+    double last_arrival = 0.0;
+    if (!records_.empty()) {
+      first_rank_ = sim_.ReserveSequence(records_.size());
+      ScheduleArrival(0);
+      last_arrival = ArrivalTime(records_.size() - 1);
+    }
+    if (!frozen_plan_) {
+      // Keep planning a couple of intervals past the last arrival so the
+      // tail of the workload still gets replanned.
+      scheduler_.Start(last_arrival + 2.0 * config_.control_interval_seconds);
+    }
+    sim_.RunToCompletion();
+    out_.planning_cycles = scheduler_.planning_cycles();
+    out_.peak_pending_events = sim_.slot_capacity();
+    Score();
+    return std::move(out_);
+  }
+
+ private:
+  static sched::QuerySchedulerConfig WithoutTelemetry(
+      sched::QuerySchedulerConfig config) {
+    config.telemetry = nullptr;
+    return config;
+  }
+
+  /// The captured wall offset, mapped onto the model clock the live
+  /// scheduler planned against.
+  double ArrivalTime(size_t i) const {
+    return static_cast<double>(records_[i].arrival_ns - base_ns_) / 1e9 *
+           time_scale_;
+  }
+
+  void ScheduleArrival(size_t i) {
+    sim_.ScheduleAtSequence(ArrivalTime(i), first_rank_ + i,
+                            [this, i] { Arrive(i); });
+  }
+
+  void Arrive(size_t i) {
+    if (i + 1 < records_.size()) ScheduleArrival(i + 1);
+    const TraceRecord& record = records_[i];
+    workload::Query query = codec_.Materialize(record);
+    query.id = record.trace_id;
+    scheduler_.Submit(query,
+                      [this](const workload::QueryRecord& r) { Complete(r); });
+  }
+
+  void Complete(const workload::QueryRecord& record) {
+    if (record.cancelled) {
+      ++out_.cancelled;
+      return;
+    }
+    ++out_.completed;
+    const sched::ServiceClassSpec* spec = classes_.Find(record.class_id);
+    if (spec == nullptr) return;
+    const double value = spec->goal_kind == sched::GoalKind::kVelocityFloor
+                             ? record.Velocity()
+                             : record.ResponseSeconds();
+    ClassAccumulator& a = acc_[record.class_id];
+    a.metric_sum += value;
+    ++a.completed;
+    const int64_t bucket =
+        static_cast<int64_t>(std::floor(record.end_time / report_interval_));
+    auto& slot = a.buckets[bucket];
+    slot.first += value;
+    ++slot.second;
+  }
+
+  void Score() {
+    const sched::UtilityFunction utility;
+    for (const sched::ServiceClassSpec& spec : classes_.classes()) {
+      ShadowClassOutcome cls;
+      cls.class_id = spec.class_id;
+      auto it = acc_.find(spec.class_id);
+      if (it != acc_.end() && it->second.completed > 0) {
+        const ClassAccumulator& a = it->second;
+        cls.completed = a.completed;
+        cls.measured = a.metric_sum / static_cast<double>(a.completed);
+        cls.goal_ratio = spec.GoalRatio(cls.measured);
+        cls.utility = utility.Evaluate(spec, cls.measured);
+        uint64_t met = 0;
+        for (const auto& [bucket, sums] : a.buckets) {
+          const double bucket_measured =
+              sums.first / static_cast<double>(sums.second);
+          if (spec.GoalRatio(bucket_measured) >= 1.0) ++met;
+        }
+        cls.attainment = a.buckets.empty()
+                             ? 0.0
+                             : static_cast<double>(met) /
+                                   static_cast<double>(a.buckets.size());
+      } else {
+        // No completions: score the class at goal ratio 0 — a silent
+        // class must read as a violated one, not a free one.
+        cls.utility = utility.FromGoalRatio(spec, 0.0);
+      }
+      out_.total_utility += cls.utility;
+      out_.classes.push_back(cls);
+    }
+  }
+
+  const sched::ServiceClassSet& classes_;
+  /// Sorted by arrival_ns; shared read-only with every other world.
+  const std::vector<TraceRecord>& records_;
+  const double time_scale_;
+  const uint64_t base_ns_;
+  const sched::QuerySchedulerConfig config_;
+  const bool frozen_plan_;
+  /// Attainment bucket width in model seconds.
+  const double report_interval_;
+  sim::Simulator sim_;
+  engine::ExecutionEngine engine_;
+  sched::QueryScheduler scheduler_;
+  TemplateCodec codec_;
+  /// Rank reserved for records_[0]; records_[i] fires under rank + i.
+  uint64_t first_rank_ = 0;
+  std::map<int, ClassAccumulator> acc_;
+  ShadowOutcome out_;
+};
+
 }  // namespace
 
 ShadowPlanner::ShadowPlanner(const TraceReadResult& trace,
                              const ShadowPlannerOptions& options)
-    : trace_(trace),
+    : time_scale_(trace.header.time_scale > 0.0 ? trace.header.time_scale
+                                                : 1.0),
+      has_live_(trace.has_summary),
+      live_summary_(trace.summary),
       options_(options),
       classes_(sched::MakePaperClasses()),
       sorted_(trace.records) {
@@ -53,111 +216,9 @@ ShadowPlanner::ShadowPlanner(const TraceReadResult& trace,
 
 ShadowOutcome ShadowPlanner::EvaluateOne(
     const PlanCandidate& candidate) const {
-  ShadowOutcome out;
+  ShadowWorld world(options_, classes_, candidate, sorted_, time_scale_);
+  ShadowOutcome out = world.Run();
   out.name = SanitizeName(candidate.name);
-
-  // A fully private world per candidate: same seed everywhere, so two
-  // candidates differ only by the plan they run under.
-  sim::Simulator sim;
-  Rng master(options_.seed);
-  engine::ExecutionEngine engine(&sim, options_.engine, master.Fork(1));
-  sched::QuerySchedulerConfig config = candidate.config;
-  config.telemetry = nullptr;
-  sched::QueryScheduler scheduler(&sim, &engine, &classes_, config);
-  if (candidate.frozen_plan) {
-    sched::SchedulingPlan plan;
-    plan.cost_limits = candidate.frozen_limits;
-    scheduler.dispatcher().SetPlan(plan);
-  }
-
-  // Materialize every query up front, in arrival order: the codec's
-  // generators are stateful, and a fixed call sequence is what makes
-  // materialization deterministic.
-  TemplateCodec codec(options_.tpch, options_.tpcc, options_.seed + 1);
-  const uint64_t base_ns = sorted_.empty() ? 0 : sorted_.front().arrival_ns;
-  const double time_scale =
-      trace_.header.time_scale > 0.0 ? trace_.header.time_scale : 1.0;
-  std::vector<workload::QueryRecord> completions;
-  completions.reserve(sorted_.size());
-  double last_arrival = 0.0;
-  for (const TraceRecord& record : sorted_) {
-    workload::Query query = codec.Materialize(record);
-    query.id = record.trace_id;
-    // The captured wall offset, mapped onto the model clock the live
-    // scheduler planned against.
-    const double at = static_cast<double>(record.arrival_ns - base_ns) /
-                      1e9 * time_scale;
-    if (at > last_arrival) last_arrival = at;
-    sim.ScheduleAt(at, [&scheduler, &completions,
-                        query = std::move(query)]() mutable {
-      scheduler.Submit(std::move(query),
-                       [&completions](const workload::QueryRecord& r) {
-                         completions.push_back(r);
-                       });
-    });
-  }
-  if (!candidate.frozen_plan) {
-    // Keep planning a couple of intervals past the last arrival so the
-    // tail of the workload still gets replanned.
-    scheduler.Start(last_arrival + 2.0 * config.control_interval_seconds);
-  }
-  sim.RunToCompletion();
-  out.planning_cycles = scheduler.planning_cycles();
-
-  const double interval = options_.report_interval_seconds > 0.0
-                              ? options_.report_interval_seconds
-                              : config.control_interval_seconds;
-  std::map<int, ClassAccumulator> acc;
-  for (const workload::QueryRecord& record : completions) {
-    if (record.cancelled) {
-      ++out.cancelled;
-      continue;
-    }
-    ++out.completed;
-    const sched::ServiceClassSpec* spec = classes_.Find(record.class_id);
-    if (spec == nullptr) continue;
-    const double value = spec->goal_kind == sched::GoalKind::kVelocityFloor
-                             ? record.Velocity()
-                             : record.ResponseSeconds();
-    ClassAccumulator& a = acc[record.class_id];
-    a.metric_sum += value;
-    ++a.completed;
-    const int64_t bucket =
-        static_cast<int64_t>(std::floor(record.end_time / interval));
-    auto& slot = a.buckets[bucket];
-    slot.first += value;
-    ++slot.second;
-  }
-
-  const sched::UtilityFunction utility;
-  for (const sched::ServiceClassSpec& spec : classes_.classes()) {
-    ShadowClassOutcome cls;
-    cls.class_id = spec.class_id;
-    auto it = acc.find(spec.class_id);
-    if (it != acc.end() && it->second.completed > 0) {
-      const ClassAccumulator& a = it->second;
-      cls.completed = a.completed;
-      cls.measured = a.metric_sum / static_cast<double>(a.completed);
-      cls.goal_ratio = spec.GoalRatio(cls.measured);
-      cls.utility = utility.Evaluate(spec, cls.measured);
-      uint64_t met = 0;
-      for (const auto& [bucket, sums] : a.buckets) {
-        const double bucket_measured =
-            sums.first / static_cast<double>(sums.second);
-        if (spec.GoalRatio(bucket_measured) >= 1.0) ++met;
-      }
-      cls.attainment = a.buckets.empty()
-                           ? 0.0
-                           : static_cast<double>(met) /
-                                 static_cast<double>(a.buckets.size());
-    } else {
-      // No completions: score the class at goal ratio 0 — a silent class
-      // must read as a violated one, not a free one.
-      cls.utility = utility.FromGoalRatio(spec, 0.0);
-    }
-    out.total_utility += cls.utility;
-    out.classes.push_back(cls);
-  }
   return out;
 }
 
@@ -176,7 +237,7 @@ ShadowOutcome ShadowPlanner::LiveOutcome() const {
   ShadowOutcome out;
   out.name = "live";
   const sched::UtilityFunction utility;
-  for (const TraceSummaryClass& sc : trace_.summary.classes) {
+  for (const TraceSummaryClass& sc : live_summary_.classes) {
     ShadowClassOutcome cls;
     cls.class_id = static_cast<int>(sc.class_id);
     cls.measured = sc.measured;

@@ -1,6 +1,7 @@
 #ifndef QSCHED_REPLAY_SHADOW_PLANNER_H_
 #define QSCHED_REPLAY_SHADOW_PLANNER_H_
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -47,6 +48,10 @@ struct ShadowOutcome {
   uint64_t completed = 0;
   uint64_t cancelled = 0;
   uint64_t planning_cycles = 0;
+  /// High-water mark of the world's concurrently pending DES events
+  /// (Simulator::slot_capacity at the end of the run). Tracks the queries
+  /// in flight, not the trace length; not part of FormatReport.
+  size_t peak_pending_events = 0;
   std::vector<ShadowClassOutcome> classes;
 };
 
@@ -76,9 +81,13 @@ struct ShadowPlannerOptions {
 /// Every candidate world is fully self-contained (own Simulator, engine,
 /// scheduler, generators, all seeded identically), so Evaluate() is
 /// bit-identical at any `jobs` value: ParallelFor only changes which
-/// host thread runs which world, never what a world computes.
+/// host thread runs which world, never what a world computes. A world
+/// streams the trace — queries are materialized as they arrive and
+/// scored as they complete — so its memory follows the queries in
+/// flight, not the trace length.
 class ShadowPlanner {
  public:
+  /// Copies what it needs from `trace`, which may be a temporary.
   ShadowPlanner(const TraceReadResult& trace,
                 const ShadowPlannerOptions& options);
 
@@ -94,7 +103,7 @@ class ShadowPlanner {
       const std::vector<PlanCandidate>& candidates, int jobs) const;
 
   /// Whether the trace carries a live-run summary to baseline against.
-  bool has_live() const { return trace_.has_summary; }
+  bool has_live() const { return has_live_; }
   /// The live run's measured outcome, rebuilt from the trace summary and
   /// scored with the same utility function as the candidates.
   ShadowOutcome LiveOutcome() const;
@@ -108,7 +117,10 @@ class ShadowPlanner {
                                   const std::vector<ShadowOutcome>& shadow);
 
  private:
-  const TraceReadResult& trace_;
+  /// The trace header's time scale (1 when unset).
+  double time_scale_;
+  bool has_live_;
+  TraceSummary live_summary_;
   ShadowPlannerOptions options_;
   sched::ServiceClassSet classes_;
   /// Records sorted by arrival_ns (stable), shared by all worlds.

@@ -1,9 +1,11 @@
 // Capture & replay subsystem tests: trace-format round trips over
 // randomized records, truncation/corruption recovery, the lock-cheap
 // recorder's conservation invariant under concurrent producers, replay
-// conservation against a loopback server, and bit-determinism of the
-// shadow what-if planner across --jobs. The concurrent cases run in the
-// TSan and ASan gates (see tests/CMakeLists.txt).
+// conservation against a loopback server, and the shadow what-if
+// planner: bit-determinism across --jobs, a pinned report over a
+// tie-heavy trace, and pending events bounded by the queries in flight.
+// The concurrent cases run in the TSan and ASan gates (see
+// tests/CMakeLists.txt).
 
 #include <cstdint>
 #include <cstdio>
@@ -434,6 +436,170 @@ TEST(ReplayTest, WhatifDeterministicAcrossJobs) {
   // The frozen olap=20000 plan must never replan.
   EXPECT_EQ(serial[3].planning_cycles, 0u);
   EXPECT_GT(serial[0].planning_cycles, 0u);
+}
+
+// A trace built to stress the arrival order: every 250 ms wall offset
+// (15.0 model s at time scale 60, a control-interval boundary for both
+// the 15 s and the 5 s candidates) carries three arrivals at exactly the
+// same arrival_ns, and a quarter of the arrivals between boundaries are
+// duplicated. Records are appended out of order — each boundary's group
+// after the interval it opens — so the planner's stable sort decides the
+// order among ties.
+TraceReadResult TiesTrace() {
+  TraceReadResult trace;
+  trace.header.time_scale = 60.0;
+  Rng rng(77);
+  uint64_t next_id = 1;
+  auto add = [&trace, &next_id, &rng](uint64_t arrival_ns, bool olap) {
+    TraceRecord record;
+    record.arrival_ns = arrival_ns;
+    record.trace_id = next_id++;
+    if (olap) {
+      record.class_id = static_cast<uint16_t>(1 + rng.NextU32() % 2);
+      record.template_id = static_cast<uint16_t>(rng.NextU32() % 18);
+      record.cost_timerons = 8000.0 + (rng.NextU32() % 6) * 12000.0;
+    } else {
+      record.class_id = 3;
+      record.template_id =
+          static_cast<uint16_t>(kOltpTemplateBit | (rng.NextU32() % 5));
+      record.cost_timerons = 40.0 + rng.NextU32() % 100;
+    }
+    trace.records.push_back(record);
+  };
+  constexpr uint64_t kBaseNs = 1000000000;
+  constexpr uint64_t kBoundaryNs = 250000000;
+  for (uint64_t k = 0; k < 12; ++k) {
+    const uint64_t boundary = kBaseNs + k * kBoundaryNs;
+    for (int i = 0; i < 30; ++i) {
+      const uint64_t offset_ms = 1 + rng.NextU32() % 249;
+      const uint64_t arrival = boundary + offset_ms * 1000000;
+      const bool olap = rng.NextU32() % 10 == 0;
+      add(arrival, olap);
+      if (rng.NextU32() % 4 == 0) add(arrival, !olap);
+    }
+    add(boundary, /*olap=*/true);
+    add(boundary, /*olap=*/false);
+    add(boundary, /*olap=*/false);
+  }
+  return trace;
+}
+
+TEST(ReplayTest, WhatifReportPinnedWithTies) {
+  const TraceReadResult trace = TiesTrace();
+  ShadowPlannerOptions options;
+  options.seed = 42;
+  options.base.control_interval_seconds = 15.0;
+  options.base.system_cost_limit = 300000.0;
+  ShadowPlanner planner(trace, options);
+  Result<std::vector<PlanCandidate>> parsed = ParsePlanCandidates(
+      "base,interval=5,greedy,olap=20000", options.base,
+      planner.classes());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::string report = ShadowPlanner::FormatReport(
+      nullptr, planner.Evaluate(parsed.ValueOrDie(), 2));
+  // Captured from the planner that scheduled every arrival up front; the
+  // streamed worlds must reproduce it byte for byte, tie order included.
+  const std::string expected =
+      "plan base                         utility   -21.1301  completed    "
+      "473  cycles   13\n"
+      "  class 1: measured=0.127475 goal_ratio=0.3187 attainment=0.1042 "
+      "utility=0.3187\n"
+      "  class 2: measured=0.169007 goal_ratio=0.2817 attainment=0.0976 "
+      "utility=-0.8733\n"
+      "  class 3: measured=0.904875 goal_ratio=-1.6195 attainment=0.2308 "
+      "utility=-20.5755\n"
+      "plan interval:5                   utility   -20.9344  completed    "
+      "473  cycles   37\n"
+      "  class 1: measured=0.122503 goal_ratio=0.3063 attainment=0.0962 "
+      "utility=0.3063\n"
+      "  class 2: measured=0.321688 goal_ratio=0.5361 attainment=0.2000 "
+      "utility=0.1446\n"
+      "  class 3: measured=0.927368 goal_ratio=-1.7095 attainment=0.5556 "
+      "utility=-21.3852\n"
+      "plan greedy                       utility   -24.2101  completed    "
+      "473  cycles   13\n"
+      "  class 1: measured=0.137970 goal_ratio=0.3449 attainment=0.1400 "
+      "utility=0.3449\n"
+      "  class 2: measured=0.216748 goal_ratio=0.3612 attainment=0.1081 "
+      "utility=-0.5550\n"
+      "  class 3: measured=1.148947 goal_ratio=-2.0000 attainment=0.2308 "
+      "utility=-24.0000\n"
+      "plan olap:20000                   utility    -8.1052  completed    "
+      "473  cycles    0\n"
+      "  class 1: measured=0.086003 goal_ratio=0.2150 attainment=0.0600 "
+      "utility=0.2150\n"
+      "  class 2: measured=0.076661 goal_ratio=0.1278 attainment=0.0185 "
+      "utility=-1.4889\n"
+      "  class 3: measured=0.523092 goal_ratio=-0.0924 attainment=0.7692 "
+      "utility=-6.8313\n"
+      "WHATIF plan=base utility=-21.130090 completed=473 cycles=13 "
+      "c1_measured=0.127475 c1_ratio=0.3187 c1_att=0.1042 "
+      "c2_measured=0.169007 c2_ratio=0.2817 c2_att=0.0976 "
+      "c3_measured=0.904875 c3_ratio=-1.6195 c3_att=0.2308\n"
+      "WHATIF plan=interval:5 utility=-20.934389 completed=473 cycles=37 "
+      "c1_measured=0.122503 c1_ratio=0.3063 c1_att=0.0962 "
+      "c2_measured=0.321688 c2_ratio=0.5361 c2_att=0.2000 "
+      "c3_measured=0.927368 c3_ratio=-1.7095 c3_att=0.5556\n"
+      "WHATIF plan=greedy utility=-24.210088 completed=473 cycles=13 "
+      "c1_measured=0.137970 c1_ratio=0.3449 c1_att=0.1400 "
+      "c2_measured=0.216748 c2_ratio=0.3612 c2_att=0.1081 "
+      "c3_measured=1.148947 c3_ratio=-2.0000 c3_att=0.2308\n"
+      "WHATIF plan=olap:20000 utility=-8.105230 completed=473 cycles=0 "
+      "c1_measured=0.086003 c1_ratio=0.2150 c1_att=0.0600 "
+      "c2_measured=0.076661 c2_ratio=0.1278 c2_att=0.0185 "
+      "c3_measured=0.523092 c3_ratio=-0.0924 c3_att=0.7692\n";
+  EXPECT_EQ(report, expected);
+}
+
+// A world's pending events track the queries in flight: on a 20k-record
+// trace the slot high-water mark stays far below the record count
+// (scheduling every arrival up front made it >= the record count).
+TEST(ReplayTest, WhatifPendingEventsStayBounded) {
+  const TraceReadResult trace = MixedTrace(20000);
+  ShadowPlannerOptions options;
+  options.seed = 42;
+  options.base.control_interval_seconds = 15.0;
+  options.base.system_cost_limit = 300000.0;
+  ShadowPlanner planner(trace, options);
+  Result<std::vector<PlanCandidate>> parsed =
+      ParsePlanCandidates("base", options.base, planner.classes());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const ShadowOutcome outcome = planner.EvaluateOne(parsed.ValueOrDie()[0]);
+  EXPECT_EQ(outcome.completed + outcome.cancelled, trace.records.size());
+  EXPECT_GT(outcome.peak_pending_events, 0u);
+  EXPECT_LT(outcome.peak_pending_events, trace.records.size() / 16);
+}
+
+// The planner copies what it needs from the trace, so building it from a
+// temporary read result is safe (the ASan gate runs ReplayTest.*).
+TEST(ReplayTest, WhatifPlannerOutlivesTemporaryTrace) {
+  const TraceReadResult trace = MixedTrace(400);
+  const std::string path = TempPath("temporary.bin");
+  TraceWriterOptions writer;
+  writer.path = path;
+  writer.header.time_scale = trace.header.time_scale;
+  ASSERT_TRUE(WriteAll(writer, trace.records, &trace.summary).ok());
+
+  ShadowPlannerOptions options;
+  options.seed = 42;
+  options.base.control_interval_seconds = 15.0;
+  options.base.system_cost_limit = 300000.0;
+  const ShadowPlanner from_temporary(ReadTraceChain(path).ValueOrDie(),
+                                     options);
+  std::remove(path.c_str());
+  const ShadowPlanner from_local(trace, options);
+
+  Result<std::vector<PlanCandidate>> parsed = ParsePlanCandidates(
+      "base,olap=20000", options.base, from_local.classes());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(from_temporary.has_live());
+  const ShadowOutcome live = from_temporary.LiveOutcome();
+  const ShadowOutcome expected_live = from_local.LiveOutcome();
+  EXPECT_EQ(
+      ShadowPlanner::FormatReport(
+          &live, from_temporary.Evaluate(parsed.ValueOrDie(), 1)),
+      ShadowPlanner::FormatReport(
+          &expected_live, from_local.Evaluate(parsed.ValueOrDie(), 1)));
 }
 
 TEST(ReplayTest, ParsePlanCandidatesRejectsMalformed) {

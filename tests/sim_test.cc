@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -253,6 +256,106 @@ TEST(SimulatorTest, StaleIdOnReusedSlotIsRejected) {
   EXPECT_FALSE(simulator.Cancel(first));
   simulator.RunToCompletion();
   EXPECT_TRUE(fired);
+  EXPECT_FALSE(simulator.Cancel(second));
+}
+
+// A chain of events that each schedule their successor under a reserved
+// rank must fire exactly like the same events all scheduled up front,
+// including same-time ties against events scheduled before the chain,
+// after it, and from inside the chain's own callbacks.
+TEST(SimulatorTest, ReservedSequenceMatchesPreScheduling) {
+  constexpr int kChain = 200;
+  qsched::Rng rng(99);
+  std::vector<double> chain_times;
+  for (int i = 0; i < kChain; ++i) {
+    chain_times.push_back(std::floor(rng.Uniform(0.0, 40.0)) * 0.5);
+  }
+  std::sort(chain_times.begin(), chain_times.end());
+  std::vector<double> other_times;
+  for (int i = 0; i < 60; ++i) {
+    // Half land exactly on a chain time.
+    other_times.push_back(
+        i % 2 == 0 ? chain_times[static_cast<size_t>(rng.UniformInt(
+                         0, kChain - 1))]
+                   : rng.Uniform(0.0, 20.0));
+  }
+
+  // Tags: chain event i -> i, other event j -> 1000 + j, follow-ups
+  // scheduled by chain event i -> 2000 + i.
+  auto run = [&](bool reserved) {
+    Simulator simulator;
+    std::vector<int> order;
+    auto record = [&simulator, &order](int tag) {
+      order.push_back(tag);
+      // Fold the firing time in too: same order at the same times.
+      order.push_back(static_cast<int>(simulator.Now() * 2.0));
+    };
+    for (size_t j = 0; j < other_times.size() / 2; ++j) {
+      simulator.ScheduleAt(other_times[j], [&record, j] {
+        record(1000 + static_cast<int>(j));
+      });
+    }
+    auto on_chain = [&](int i) {
+      record(i);
+      if (i % 3 == 0) {
+        simulator.ScheduleAfter(0.0, [&record, i] { record(2000 + i); });
+      }
+    };
+    uint64_t first = 0;
+    std::function<void(int)> fire = [&](int i) {
+      if (reserved && i + 1 < kChain) {
+        simulator.ScheduleAtSequence(
+            chain_times[static_cast<size_t>(i + 1)],
+            first + static_cast<uint64_t>(i + 1), [&fire, i] { fire(i + 1); });
+      }
+      on_chain(i);
+    };
+    if (reserved) {
+      first = simulator.ReserveSequence(kChain);
+      simulator.ScheduleAtSequence(chain_times[0], first,
+                                   [&fire] { fire(0); });
+    } else {
+      for (int i = 0; i < kChain; ++i) {
+        simulator.ScheduleAt(chain_times[static_cast<size_t>(i)],
+                             [&on_chain, i] { on_chain(i); });
+      }
+    }
+    for (size_t j = other_times.size() / 2; j < other_times.size(); ++j) {
+      simulator.ScheduleAt(other_times[j], [&record, j] {
+        record(1000 + static_cast<int>(j));
+      });
+    }
+    simulator.RunToCompletion();
+    return std::make_pair(order, simulator.events_processed());
+  };
+
+  const auto up_front = run(false);
+  const auto chained = run(true);
+  EXPECT_EQ(chained.first, up_front.first);
+  EXPECT_EQ(chained.second, up_front.second);
+}
+
+TEST(SimulatorTest, ReservedSequenceEventsCancelAndRejectStaleIds) {
+  Simulator simulator;
+  const uint64_t first = simulator.ReserveSequence(2);
+  bool first_fired = false;
+  EventId id = simulator.ScheduleAtSequence(1.0, first,
+                                            [&] { first_fired = true; });
+  EXPECT_EQ(simulator.pending_events(), 1u);
+  EXPECT_TRUE(simulator.Cancel(id));
+  EXPECT_FALSE(simulator.Cancel(id));
+  EXPECT_EQ(simulator.pending_events(), 0u);
+
+  // The freed slot is reused under a fresh generation: the stale handle
+  // must not cancel the new reserved-rank event.
+  bool second_fired = false;
+  EventId second = simulator.ScheduleAtSequence(1.0, first + 1,
+                                                [&] { second_fired = true; });
+  EXPECT_EQ(simulator.slot_capacity(), 1u);
+  EXPECT_FALSE(simulator.Cancel(id));
+  simulator.RunToCompletion();
+  EXPECT_FALSE(first_fired);
+  EXPECT_TRUE(second_fired);
   EXPECT_FALSE(simulator.Cancel(second));
 }
 

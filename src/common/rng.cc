@@ -3,9 +3,6 @@
 #include <cmath>
 
 namespace qsched {
-namespace {
-constexpr uint64_t kPcgMultiplier = 6364136223846793005ULL;
-}  // namespace
 
 Rng::Rng(uint64_t seed, uint64_t stream) {
   inc_ = (stream << 1u) | 1u;
@@ -13,27 +10,6 @@ Rng::Rng(uint64_t seed, uint64_t stream) {
   NextU32();
   state_ += seed;
   NextU32();
-}
-
-uint32_t Rng::NextU32() {
-  uint64_t old = state_;
-  state_ = old * kPcgMultiplier + inc_;
-  uint32_t xorshifted = static_cast<uint32_t>(((old >> 18u) ^ old) >> 27u);
-  uint32_t rot = static_cast<uint32_t>(old >> 59u);
-  return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
-}
-
-uint64_t Rng::NextU64() {
-  return (static_cast<uint64_t>(NextU32()) << 32) | NextU32();
-}
-
-double Rng::NextDouble() {
-  // 53 random bits into [0, 1).
-  return (NextU64() >> 11) * (1.0 / 9007199254740992.0);
-}
-
-double Rng::Uniform(double lo, double hi) {
-  return lo + (hi - lo) * NextDouble();
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
@@ -78,12 +54,6 @@ double Rng::BoundedPareto(double alpha, double lo, double hi) {
   double la = std::pow(lo, alpha);
   double ha = std::pow(hi, alpha);
   return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return NextDouble() < p;
 }
 
 size_t Rng::Categorical(const std::vector<double>& weights) {

@@ -33,7 +33,7 @@ void ProcessorSharingPool::Advance() {
   double rate = RatePerJob();
   double credited = dt * rate;
   busy_core_seconds_ += credited * static_cast<double>(jobs_.size());
-  for (auto& [id, job] : jobs_) {
+  for (Job& job : jobs_) {
     job.remaining -= credited;
   }
 }
@@ -45,7 +45,7 @@ void ProcessorSharingPool::ScheduleNextCompletion() {
   }
   if (jobs_.empty()) return;
   double min_remaining = std::numeric_limits<double>::infinity();
-  for (const auto& [id, job] : jobs_) {
+  for (const Job& job : jobs_) {
     min_remaining = std::min(min_remaining, job.remaining);
   }
   double rate = RatePerJob();
@@ -57,20 +57,26 @@ void ProcessorSharingPool::ScheduleNextCompletion() {
 void ProcessorSharingPool::OnCompletionEvent() {
   completion_event_ = 0;
   Advance();
-  // Collect finished jobs first: their callbacks may resubmit work.
+  // Collect finished jobs first, in submission order: their callbacks may
+  // resubmit work. The remaining jobs keep their order.
   std::vector<std::function<void()>> finished;
-  for (auto it = jobs_.begin(); it != jobs_.end();) {
-    if (it->second.remaining <= kServiceEpsilon) {
-      finished.push_back(std::move(it->second.done));
-      it = jobs_.erase(it);
+  finished.swap(finished_scratch_);
+  size_t kept = 0;
+  for (size_t i = 0; i < jobs_.size(); ++i) {
+    if (jobs_[i].remaining <= kServiceEpsilon) {
+      finished.push_back(std::move(jobs_[i].done));
     } else {
-      ++it;
+      if (kept != i) jobs_[kept] = std::move(jobs_[i]);
+      ++kept;
     }
   }
+  jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(kept), jobs_.end());
   ScheduleNextCompletion();
   for (auto& done : finished) {
     if (done) done();
   }
+  finished.clear();
+  finished_scratch_.swap(finished);
 }
 
 uint64_t ProcessorSharingPool::Submit(double demand_seconds,
@@ -81,7 +87,7 @@ uint64_t ProcessorSharingPool::Submit(double demand_seconds,
     return id;
   }
   Advance();
-  jobs_.emplace(id, Job{demand_seconds, std::move(done)});
+  jobs_.push_back(Job{demand_seconds, std::move(done)});
   ScheduleNextCompletion();
   return id;
 }

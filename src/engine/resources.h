@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "common/rng.h"
@@ -53,7 +52,11 @@ class ProcessorSharingPool {
 
   sim::Clock* simulator_;
   int num_servers_;
-  std::map<uint64_t, Job> jobs_;
+  /// Active jobs in submission order.
+  std::vector<Job> jobs_;
+  /// Spare buffer for OnCompletionEvent's finished callbacks, kept so the
+  /// per-completion path does not allocate.
+  std::vector<std::function<void()>> finished_scratch_;
   uint64_t next_job_id_ = 1;
   double last_update_time_ = 0.0;
   double busy_core_seconds_ = 0.0;

@@ -1,16 +1,44 @@
 #include "workload/tpcc_workload.h"
 
-#include <set>
+#include <array>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 
 namespace qsched::workload {
 
-using optimizer::IndexScan;
-using optimizer::Insert;
-using optimizer::PlanNodePtr;
-using optimizer::Update;
+using optimizer::OperatorKind;
+using optimizer::PlanNode;
+
+namespace {
+
+// Statement builders: the same single-node plans optimizer::IndexScan /
+// Insert / Update return, appended in place to a reused list.
+void AddStatement(std::vector<PlanNode>* stmts, OperatorKind kind,
+                  const char* table, const char* column, double rows) {
+  PlanNode& node = stmts->emplace_back();
+  node.kind = kind;
+  node.table = table;
+  node.column = column;
+  node.probe_rows = rows;
+}
+
+void IndexScan(std::vector<PlanNode>* stmts, const char* table,
+               const char* column, double probe_rows) {
+  AddStatement(stmts, OperatorKind::kIndexScan, table, column, probe_rows);
+}
+
+void Insert(std::vector<PlanNode>* stmts, const char* table, double rows) {
+  AddStatement(stmts, OperatorKind::kInsert, table, "", rows);
+}
+
+void Update(std::vector<PlanNode>* stmts, const char* table, double rows) {
+  AddStatement(stmts, OperatorKind::kUpdate, table, "", rows);
+}
+
+}  // namespace
 
 TpccWorkload::TpccWorkload(const TpccWorkloadParams& params, uint64_t seed)
     : params_(params),
@@ -31,7 +59,7 @@ TpccWorkload::TpccWorkload(const TpccWorkloadParams& params, uint64_t seed)
 
 void TpccWorkload::RegisterTransactions() {
   auto add = [this](std::string name, double weight,
-                    std::function<std::vector<PlanNodePtr>(Rng*)> build) {
+                    std::function<void(Rng*, Statements*)> build) {
     transactions_.push_back(
         Transaction{std::move(name), weight, std::move(build)});
     mix_weights_.push_back(weight);
@@ -40,82 +68,80 @@ void TpccWorkload::RegisterTransactions() {
   // NewOrder: read customer/warehouse/district, then per order line
   // (5-15) probe item + stock and update stock; insert orders/new_order/
   // order_line rows.
-  add("new_order", 0.45, [](Rng* rng) {
-    std::vector<PlanNodePtr> stmts;
-    stmts.push_back(IndexScan("warehouse", "w_id", 1.0));
-    stmts.push_back(IndexScan("customer", "c_w_id", 1.0));
-    stmts.push_back(Update("district", 1.0));  // bump d_next_o_id
+  add("new_order", 0.45, [](Rng* rng, Statements* stmts) {
+    IndexScan(stmts, "warehouse", "w_id", 1.0);
+    IndexScan(stmts, "customer", "c_w_id", 1.0);
+    Update(stmts, "district", 1.0);  // bump d_next_o_id
     int lines = static_cast<int>(rng->UniformInt(5, 15));
     for (int i = 0; i < lines; ++i) {
-      stmts.push_back(IndexScan("item", "i_id", 1.0));
-      stmts.push_back(Update("stock", 1.0));
+      IndexScan(stmts, "item", "i_id", 1.0);
+      Update(stmts, "stock", 1.0);
     }
-    stmts.push_back(Insert("orders", 1.0));
-    stmts.push_back(Insert("new_order", 1.0));
-    stmts.push_back(Insert("order_line", static_cast<double>(lines)));
-    return stmts;
+    Insert(stmts, "orders", 1.0);
+    Insert(stmts, "new_order", 1.0);
+    Insert(stmts, "order_line", static_cast<double>(lines));
   });
 
   // Payment: update warehouse/district/customer balances, insert history.
-  add("payment", 0.43, [](Rng* rng) {
-    std::vector<PlanNodePtr> stmts;
-    stmts.push_back(Update("warehouse", 1.0));
-    stmts.push_back(Update("district", 1.0));
+  add("payment", 0.43, [](Rng* rng, Statements* stmts) {
+    Update(stmts, "warehouse", 1.0);
+    Update(stmts, "district", 1.0);
     if (rng->Bernoulli(0.6)) {
       // Lookup by last name scans a few matching customers.
-      stmts.push_back(
-          IndexScan("customer", "c_last", rng->Uniform(1.0, 4.0)));
+      IndexScan(stmts, "customer", "c_last", rng->Uniform(1.0, 4.0));
     }
-    stmts.push_back(Update("customer", 1.0));
-    stmts.push_back(Insert("history", 1.0));
-    return stmts;
+    Update(stmts, "customer", 1.0);
+    Insert(stmts, "history", 1.0);
   });
 
   // OrderStatus: read-only — customer, last order, its lines.
-  add("order_status", 0.04, [](Rng* rng) {
-    std::vector<PlanNodePtr> stmts;
-    stmts.push_back(IndexScan("customer", "c_w_id", 1.0));
-    stmts.push_back(IndexScan("orders", "o_w_id", 1.0));
-    stmts.push_back(
-        IndexScan("order_line", "ol_w_id", rng->Uniform(5.0, 15.0)));
-    return stmts;
+  add("order_status", 0.04, [](Rng* rng, Statements* stmts) {
+    IndexScan(stmts, "customer", "c_w_id", 1.0);
+    IndexScan(stmts, "orders", "o_w_id", 1.0);
+    IndexScan(stmts, "order_line", "ol_w_id", rng->Uniform(5.0, 15.0));
   });
 
   // Delivery: batch over the 10 districts of a warehouse.
-  add("delivery", 0.04, [](Rng* rng) {
-    std::vector<PlanNodePtr> stmts;
+  add("delivery", 0.04, [](Rng* rng, Statements* stmts) {
     for (int d = 0; d < 10; ++d) {
-      stmts.push_back(IndexScan("new_order", "no_w_id", 1.0));
-      stmts.push_back(Update("orders", 1.0));
-      stmts.push_back(
-          Update("order_line", rng->Uniform(5.0, 15.0)));
-      stmts.push_back(Update("customer", 1.0));
+      IndexScan(stmts, "new_order", "no_w_id", 1.0);
+      Update(stmts, "orders", 1.0);
+      Update(stmts, "order_line", rng->Uniform(5.0, 15.0));
+      Update(stmts, "customer", 1.0);
     }
-    return stmts;
   });
 
   // StockLevel: district probe plus a join of recent order lines to stock.
-  add("stock_level", 0.04, [](Rng* rng) {
-    std::vector<PlanNodePtr> stmts;
-    stmts.push_back(IndexScan("district", "d_w_id", 1.0));
-    stmts.push_back(
-        IndexScan("order_line", "ol_w_id", rng->Uniform(180.0, 220.0)));
-    stmts.push_back(IndexScan("stock", "s_w_id", rng->Uniform(180.0, 220.0)));
-    return stmts;
+  add("stock_level", 0.04, [](Rng* rng, Statements* stmts) {
+    IndexScan(stmts, "district", "d_w_id", 1.0);
+    IndexScan(stmts, "order_line", "ol_w_id", rng->Uniform(180.0, 220.0));
+    IndexScan(stmts, "stock", "s_w_id", rng->Uniform(180.0, 220.0));
   });
 
   QSCHED_CHECK(transactions_.size() == 5);
 }
 
-double TpccWorkload::HitRatioFor(
-    const std::vector<PlanNodePtr>& stmts) const {
-  std::set<std::string> tables;
-  for (const auto& stmt : stmts) {
-    if (!stmt->table.empty()) tables.insert(stmt->table);
+double TpccWorkload::HitRatioFor(const Statements& stmts) const {
+  // Distinct table names, in first-use order. A transaction touches at
+  // most the nine TPC-C tables, so a linear scan beats a tree; page counts
+  // are whole numbers, so the summation order does not change the result.
+  constexpr size_t kMaxTables = 16;
+  std::array<const std::string*, kMaxTables> tables;
+  size_t num_tables = 0;
+  for (const PlanNode& stmt : stmts) {
+    const std::string& name = stmt.table;
+    if (name.empty()) continue;
+    bool seen = false;
+    for (size_t i = 0; i < num_tables && !seen; ++i) {
+      seen = *tables[i] == name;
+    }
+    if (seen) continue;
+    QSCHED_CHECK(num_tables < kMaxTables) << "too many TPC-C tables";
+    tables[num_tables++] = &name;
   }
   double footprint = 0.0;
-  for (const std::string& name : tables) {
-    const catalog::Table* table = catalog_.FindTable(name);
+  for (size_t i = 0; i < num_tables; ++i) {
+    const catalog::Table* table = catalog_.FindTable(*tables[i]);
     if (table != nullptr) {
       footprint += static_cast<double>(
           table->PageCount(params_.cost_params.page_size_bytes));
@@ -132,14 +158,15 @@ Query TpccWorkload::Next() {
 Query TpccWorkload::MakeTransaction(size_t index) {
   QSCHED_CHECK(index < transactions_.size());
   const Transaction& txn = transactions_[index];
-  std::vector<PlanNodePtr> stmts = txn.build(&rng_);
+  stmts_.clear();
+  txn.build(&rng_, &stmts_);
 
   double timerons = 0.0;
   double cpu_seconds = 0.0;
   double logical_pages = 0.0;
   double write_pages = 0.0;
-  for (const auto& stmt : stmts) {
-    auto cost = cost_model_.Estimate(*stmt, &rng_);
+  for (const PlanNode& stmt : stmts_) {
+    auto cost = cost_model_.Estimate(stmt, &rng_);
     QSCHED_CHECK(cost.ok()) << "cost model failed for " << txn.name << ": "
                             << cost.status().ToString();
     const optimizer::QueryCost& qc = cost.ValueOrDie();
@@ -149,7 +176,7 @@ Query TpccWorkload::MakeTransaction(size_t index) {
     write_pages += qc.write_pages;
   }
   double statement_cpu =
-      static_cast<double>(stmts.size()) * params_.per_statement_cpu_seconds;
+      static_cast<double>(stmts_.size()) * params_.per_statement_cpu_seconds;
   cpu_seconds += statement_cpu;
   timerons += statement_cpu / params_.cost_params.seconds_per_cpu_unit *
               params_.cost_params.timerons_per_cpu_unit;
@@ -162,7 +189,7 @@ Query TpccWorkload::MakeTransaction(size_t index) {
   query.job.cpu_seconds = cpu_seconds;
   query.job.logical_pages = logical_pages;
   query.job.write_pages = write_pages;
-  query.job.hit_ratio = HitRatioFor(stmts);
+  query.job.hit_ratio = HitRatioFor(stmts_);
   return query;
 }
 

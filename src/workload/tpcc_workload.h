@@ -53,15 +53,18 @@ class TpccWorkload : public QueryGenerator {
   std::vector<double> SampleCosts(int n);
 
  private:
+  /// Statements (single-node plans) of one transaction instance.
+  using Statements = std::vector<optimizer::PlanNode>;
+
   struct Transaction {
     std::string name;
     double mix_weight;
-    /// Produces the statements (small plans) of one instance.
-    std::function<std::vector<optimizer::PlanNodePtr>(Rng*)> build;
+    /// Appends the statements of one instance to an empty list.
+    std::function<void(Rng*, Statements*)> build;
   };
 
   void RegisterTransactions();
-  double HitRatioFor(const std::vector<optimizer::PlanNodePtr>& stmts) const;
+  double HitRatioFor(const Statements& stmts) const;
 
   TpccWorkloadParams params_;
   catalog::Catalog catalog_;
@@ -70,6 +73,9 @@ class TpccWorkload : public QueryGenerator {
   Rng rng_;
   std::vector<Transaction> transactions_;
   std::vector<double> mix_weights_;
+  /// Reused by every MakeTransaction, so steady-state draws allocate no
+  /// plan nodes.
+  Statements stmts_;
 };
 
 }  // namespace qsched::workload

@@ -1,10 +1,6 @@
 #include "cluster/backend_channel.h"
 
-#include <errno.h>
-#include <fcntl.h>
 #include <poll.h>
-#include <string.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,16 +10,6 @@
 #include "net/client.h"
 
 namespace qsched::cluster {
-
-namespace {
-
-bool SetNonBlocking(int fd) {
-  int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return false;
-  return fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-}  // namespace
 
 const char* BackendHealthToString(BackendHealth health) {
   switch (health) {
@@ -85,8 +71,8 @@ void BackendChannel::Start() {
   if (pipe(pipe_fds) == 0) {
     wake_read_fd_ = pipe_fds[0];
     wake_write_fd_ = pipe_fds[1];
-    SetNonBlocking(wake_read_fd_);
-    SetNonBlocking(wake_write_fd_);
+    net::SetNonBlocking(wake_read_fd_);
+    net::SetNonBlocking(wake_write_fd_);
   }
   // First connect attempt is due immediately.
   next_connect_attempt_ = SteadyClock::now();
@@ -96,9 +82,6 @@ void BackendChannel::Start() {
 void BackendChannel::Stop() {
   {
     std::lock_guard<std::mutex> lock(cmd_mu_);
-    if (stop_requested_) {
-      // Already stopping; fall through to join below.
-    }
     stop_requested_ = true;
     if (wake_write_fd_ >= 0) {
       char byte = 1;
@@ -181,19 +164,19 @@ void BackendChannel::ThreadLoop() {
       if (stop_requested_) break;
     }
 
-    if (fd_ < 0 && SteadyClock::now() >= next_connect_attempt_) {
+    if (!conn_ && SteadyClock::now() >= next_connect_attempt_) {
       TryConnect();
     }
 
     PumpForwarding();
     MaybeProbe();
-    FlushOut();
+    if (conn_ && !conn_->Flush()) HandleDisconnect();
 
     // Sleep until the next timed event (probe, probe timeout, reconnect
     // attempt), capped so stop flags are rechecked regularly.
     double wait_s = 0.050;
     const SteadyClock::time_point now = SteadyClock::now();
-    if (fd_ < 0) {
+    if (!conn_) {
       wait_s = std::min(
           wait_s, std::chrono::duration<double>(next_connect_attempt_ - now)
                       .count());
@@ -208,10 +191,10 @@ void BackendChannel::ThreadLoop() {
     pollfd fds[2];
     nfds_t nfds = 0;
     fds[nfds++] = {wake_read_fd_, POLLIN, 0};
-    if (fd_ >= 0) {
+    if (conn_) {
       short events = POLLIN;
-      if (out_offset_ < outbuf_.size()) events |= POLLOUT;
-      fds[nfds++] = {fd_, events, 0};
+      if (conn_->wants_write()) events |= POLLOUT;
+      fds[nfds++] = {conn_->fd(), events, 0};
     }
     poll(fds, nfds, poll_ms);
 
@@ -220,20 +203,29 @@ void BackendChannel::ThreadLoop() {
       while (read(wake_read_fd_, buf, sizeof(buf)) > 0) {
       }
     }
-    if (nfds > 1 && fd_ >= 0 &&
+    // A writable socket needs nothing here: the next turn flushes.
+    if (nfds > 1 && conn_ &&
         (fds[1].revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL))) {
-      PumpIncoming();
+      conn_->Receive();
+      // Frames that arrived before an EOF or error are handled first;
+      // HandleFrame itself may tear the connection down.
+      net::Frame frame;
+      while (conn_) {
+        const net::Connection::RecvStatus status = conn_->Next(&frame);
+        if (status == net::Connection::RecvStatus::kFrame) {
+          HandleFrame(frame);
+          continue;
+        }
+        if (status != net::Connection::RecvStatus::kIdle) HandleDisconnect();
+        break;
+      }
     }
-    FlushOut();
   }
 
   // Stop: close the socket, then resolve everything still owed. Items
   // awaiting a verdict are rejected (never re-routed — the router is
   // stopping too); accepted items get cancelled completions.
-  if (fd_ >= 0) {
-    close(fd_);
-    fd_ = -1;
-  }
+  conn_.reset();
   usable_.store(false);
   std::deque<RoutedQuery> leftover;
   {
@@ -249,20 +241,7 @@ void BackendChannel::ThreadLoop() {
     in_flight_.fetch_sub(1);
   }
   awaiting_verdict_.clear();
-  for (auto& [rid, item] : awaiting_completion_) {
-    net::ServiceCompletion completion;
-    completion.class_id = item.query.class_id;
-    completion.cancelled = true;
-    completion.completed_wall = SteadyClock::now();
-    if (cancelled_counter_ != nullptr) cancelled_counter_->Inc();
-    {
-      std::lock_guard<std::mutex> lock(snapshot_mu_);
-      ++snapshot_.cancelled_completions;
-    }
-    item.on_complete(completion);
-    in_flight_.fetch_sub(1);
-  }
-  awaiting_completion_.clear();
+  CancelAccepted();
 }
 
 void BackendChannel::TryConnect() {
@@ -289,11 +268,7 @@ void BackendChannel::TryConnect() {
             std::chrono::duration<double>(NextBackoffSeconds()));
     return;
   }
-  fd_ = connected.ValueOrDie();
-  SetNonBlocking(fd_);
-  inbuf_.clear();
-  outbuf_.clear();
-  out_offset_ = 0;
+  conn_.emplace(connected.ValueOrDie());
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     snapshot_.connected = true;
@@ -308,29 +283,19 @@ void BackendChannel::TryConnect() {
 }
 
 void BackendChannel::MarkAlive() {
-  CircuitState circuit;
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     snapshot_.consecutive_failures = 0;
     snapshot_.circuit = CircuitState::kClosed;
-    circuit = CircuitState::kClosed;
   }
-  (void)circuit;
   current_backoff_seconds_ = 0.0;
   SetHealth(BackendHealth::kHealthy);
   usable_.store(true);
 }
 
-void BackendChannel::HandleDisconnect(const char* why) {
-  (void)why;
-  if (fd_ >= 0) {
-    close(fd_);
-    fd_ = -1;
-  }
+void BackendChannel::HandleDisconnect() {
+  conn_.reset();
   usable_.store(false);
-  inbuf_.clear();
-  outbuf_.clear();
-  out_offset_ = 0;
   outstanding_ping_id_ = 0;
 
   int failures;
@@ -367,7 +332,10 @@ void BackendChannel::HandleDisconnect(const char* why) {
   for (RoutedQuery& item : to_failover) {
     on_failover_(std::move(item), this);
   }
+  CancelAccepted();
+}
 
+void BackendChannel::CancelAccepted() {
   for (auto& [rid, item] : awaiting_completion_) {
     net::ServiceCompletion completion;
     completion.class_id = item.query.class_id;
@@ -390,7 +358,7 @@ void BackendChannel::PumpForwarding() {
     std::lock_guard<std::mutex> lock(cmd_mu_);
     batch.swap(incoming_);
   }
-  const bool can_send = fd_ >= 0 && usable_.load();
+  const bool can_send = conn_ && usable_.load();
   for (RoutedQuery& item : batch) {
     if (!can_send) {
       // Raced a disconnect (the router picked us just before the
@@ -408,7 +376,7 @@ void BackendChannel::PumpForwarding() {
     frame.request_id = next_request_id_++;
     frame.query = item.query;
     frame.want_trace = item.want_trace;
-    net::EncodeFrame(frame, &outbuf_);
+    conn_->Send(frame);
     {
       std::lock_guard<std::mutex> lock(snapshot_mu_);
       ++snapshot_.forwarded;
@@ -418,7 +386,7 @@ void BackendChannel::PumpForwarding() {
 }
 
 void BackendChannel::MaybeProbe() {
-  if (fd_ < 0) return;
+  if (!conn_) return;
   const SteadyClock::time_point now = SteadyClock::now();
   if (outstanding_ping_id_ != 0 && now >= probe_deadline_) {
     // Unanswered probe: one failure. Past the ejection threshold the
@@ -432,7 +400,7 @@ void BackendChannel::MaybeProbe() {
     }
     outstanding_ping_id_ = 0;
     if (failures >= tuning_.eject_after_failures) {
-      HandleDisconnect("probe timeout");
+      HandleDisconnect();
       return;
     }
     SetHealth(BackendHealth::kDegraded);
@@ -452,11 +420,11 @@ void BackendChannel::MaybeProbe() {
   probe_deadline_ =
       now + std::chrono::duration_cast<SteadyClock::duration>(
                 std::chrono::duration<double>(tuning_.probe_timeout_seconds));
-  net::EncodeFrame(ping, &outbuf_);
+  conn_->Send(ping);
   net::Frame stats;
   stats.type = net::FrameType::kStats;
   stats.request_id = next_request_id_++;
-  net::EncodeFrame(stats, &outbuf_);
+  conn_->Send(stats);
 }
 
 void BackendChannel::HandleFrame(const net::Frame& frame) {
@@ -520,70 +488,11 @@ void BackendChannel::HandleFrame(const net::Frame& frame) {
       return;
     }
     case net::FrameType::kError: {
-      HandleDisconnect("server ERROR frame");
+      HandleDisconnect();
       return;
     }
     default:
       return;  // DRAINED etc. — nothing owed
-  }
-}
-
-void BackendChannel::PumpIncoming() {
-  char buf[64 * 1024];
-  while (fd_ >= 0) {
-    ssize_t n = recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      inbuf_.insert(inbuf_.end(), buf, buf + n);
-      if (n < static_cast<ssize_t>(sizeof(buf))) break;
-      continue;
-    }
-    if (n == 0) {
-      HandleDisconnect("EOF");
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    HandleDisconnect("recv error");
-    return;
-  }
-  size_t offset = 0;
-  while (fd_ >= 0) {
-    net::Frame frame;
-    size_t consumed = 0;
-    net::DecodeStatus status =
-        net::DecodeFrame(inbuf_.data() + offset, inbuf_.size() - offset,
-                         &frame, &consumed);
-    if (status == net::DecodeStatus::kNeedMore) break;
-    if (status != net::DecodeStatus::kOk) {
-      HandleDisconnect("protocol error");
-      return;
-    }
-    offset += consumed;
-    HandleFrame(frame);
-  }
-  if (offset > 0 && !inbuf_.empty()) {
-    inbuf_.erase(inbuf_.begin(),
-                 inbuf_.begin() + static_cast<ptrdiff_t>(
-                                      std::min(offset, inbuf_.size())));
-  }
-}
-
-void BackendChannel::FlushOut() {
-  while (fd_ >= 0 && out_offset_ < outbuf_.size()) {
-    ssize_t n = send(fd_, outbuf_.data() + out_offset_,
-                     outbuf_.size() - out_offset_, MSG_NOSIGNAL);
-    if (n > 0) {
-      out_offset_ += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    if (n < 0 && errno == EINTR) continue;
-    HandleDisconnect("send error");
-    return;
-  }
-  if (out_offset_ > 0 && out_offset_ == outbuf_.size()) {
-    outbuf_.clear();
-    out_offset_ = 0;
   }
 }
 

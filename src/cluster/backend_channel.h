@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -15,6 +16,7 @@
 
 #include "cluster/backend.h"
 #include "common/rng.h"
+#include "net/connection.h"
 #include "net/frame.h"
 #include "obs/telemetry.h"
 
@@ -28,8 +30,8 @@ namespace qsched::cluster {
 ///
 /// Threading: Forward() and Stop() may be called from any thread — they
 /// enqueue under the command mutex and tickle the channel's wakeup
-/// pipe. Everything else (socket, buffers, in-flight maps) is owned by
-/// the channel thread. Snapshot() returns a consistent copy under the
+/// pipe. Everything else (the net::Connection, in-flight maps) is owned
+/// by the channel thread. Snapshot() returns a consistent copy under the
 /// snapshot mutex, which the channel thread updates at transition
 /// points.
 ///
@@ -103,17 +105,17 @@ class BackendChannel {
   /// Tears the connection down: verdict-pending queries are handed to
   /// the failover callback, accepted ones get synthesized cancelled
   /// completions, the circuit opens and the backoff (re)arms.
-  void HandleDisconnect(const char* why);
-  /// Encodes every newly enqueued SUBMIT onto the out buffer (or fails
-  /// it over when the channel is not usable).
+  void HandleDisconnect();
+  /// Resolves every accepted query still owed a COMPLETED with a
+  /// synthesized cancelled completion.
+  void CancelAccepted();
+  /// Queues every newly enqueued SUBMIT on the connection (or fails it
+  /// over when the channel is not usable).
   void PumpForwarding();
   /// Sends PING + STATS when the probe interval elapsed; times out an
   /// unanswered probe (one failure; ejection threshold applies).
   void MaybeProbe();
   void HandleFrame(const net::Frame& frame);
-  /// Reads and decodes everything available. Disconnects on EOF/error.
-  void PumpIncoming();
-  void FlushOut();
   /// Marks the backend alive: failures reset, circuit closes (from
   /// half-open), health returns to healthy.
   void MarkAlive();
@@ -140,10 +142,8 @@ class BackendChannel {
   std::atomic<bool> started_{false};
 
   // Channel-thread-owned connection state.
-  int fd_ = -1;
-  std::vector<uint8_t> inbuf_;
-  std::vector<uint8_t> outbuf_;
-  size_t out_offset_ = 0;
+  /// Engaged while connected.
+  std::optional<net::Connection> conn_;
   uint64_t next_request_id_ = 1;
   /// SUBMITs on the wire awaiting their verdict, by request_id.
   std::unordered_map<uint64_t, RoutedQuery> awaiting_verdict_;

@@ -1,6 +1,5 @@
 #include "net/client.h"
 
-#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -29,17 +28,6 @@ using SteadyClock = std::chrono::steady_clock;
 
 double SecondsSince(SteadyClock::time_point t0) {
   return std::chrono::duration<double>(SteadyClock::now() - t0).count();
-}
-
-bool SetBlockingMode(int fd, bool non_blocking) {
-  int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return false;
-  if (non_blocking) {
-    flags |= O_NONBLOCK;
-  } else {
-    flags &= ~O_NONBLOCK;
-  }
-  return fcntl(fd, F_SETFL, flags) == 0;
 }
 
 ClientCompletion CompletionFromFrame(const Frame& frame) {
@@ -82,7 +70,7 @@ Result<int> ConnectFd(const std::string& host, uint16_t port,
     return status;
   };
   const bool bounded = connect_timeout_seconds > 0.0;
-  if (bounded && !SetBlockingMode(fd, /*non_blocking=*/true)) {
+  if (bounded && !SetNonBlocking(fd)) {
     return fail(
         Status::Internal(StrPrintf("fcntl: %s", std::strerror(errno))));
   }
@@ -131,7 +119,7 @@ Result<int> ConnectFd(const std::string& host, uint16_t port,
       break;  // connected
     }
   }
-  if (bounded && !SetBlockingMode(fd, /*non_blocking=*/false)) {
+  if (bounded && !SetNonBlocking(fd, /*non_blocking=*/false)) {
     return fail(
         Status::Internal(StrPrintf("fcntl: %s", std::strerror(errno))));
   }
@@ -149,174 +137,125 @@ Result<std::unique_ptr<Client>> Client::Connect(
   return std::unique_ptr<Client>(new Client(fd.ValueOrDie()));
 }
 
-Client::~Client() {
-  if (fd_ >= 0) close(fd_);
-}
-
-Status Client::SendAll(const std::vector<uint8_t>& bytes) {
-  if (fd_ < 0) return Status::FailedPrecondition("client not connected");
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    ssize_t n = send(fd_, bytes.data() + sent, bytes.size() - sent,
-                     MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(StrPrintf("send: %s", std::strerror(errno)));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status Client::ReadFrameInternal(Frame* frame, bool* got_frame) {
-  // One decode attempt from whatever is buffered; callers recv() more
-  // bytes when this reports no complete frame yet.
-  size_t consumed = 0;
-  DecodeStatus ds =
-      DecodeFrame(inbuf_.data(), inbuf_.size(), frame, &consumed);
-  if (ds == DecodeStatus::kOk) {
-    inbuf_.erase(inbuf_.begin(),
-                 inbuf_.begin() + static_cast<long>(consumed));
-    *got_frame = true;
-    return Status::OK();
-  }
-  if (ds != DecodeStatus::kNeedMore) {
-    return Status::Internal(StrPrintf("protocol error from server: %s",
-                                      DecodeStatusToString(ds)));
-  }
-  *got_frame = false;
-  return Status::OK();
-}
-
-bool Client::AbsorbFrame(const Frame& frame) {
-  if (frame.type == FrameType::kCompleted) {
-    completions_.push_back(CompletionFromFrame(frame));
-    if (outstanding_ > 0) --outstanding_;
-    return true;
-  }
-  // A verdict for the oldest pipelined SUBMIT: the server answers in
-  // submission order, so it always surfaces as awaiting_verdict_.front().
-  if ((frame.type == FrameType::kAccepted ||
-       frame.type == FrameType::kRejected) &&
-      !awaiting_verdict_.empty() &&
-      frame.request_id == awaiting_verdict_.front()) {
-    awaiting_verdict_.pop_front();
-    SubmitResult result;
-    result.request_id = frame.request_id;
-    if (frame.type == FrameType::kAccepted) {
-      result.accepted = true;
-      ++outstanding_;
-    } else {
-      result.accepted = false;
-      result.reject_reason = frame.reject_reason;
-    }
-    verdicts_.push_back(result);
-    return true;
-  }
-  return false;
-}
-
-Status Client::ReadUntilType(FrameType want, uint64_t request_id,
-                             Frame* out) {
-  while (true) {
-    Frame frame;
-    bool got = false;
-    QSCHED_RETURN_NOT_OK(ReadFrameInternal(&frame, &got));
-    if (!got) {
-      // Need more bytes; block on the socket.
-      uint8_t chunk[16 * 1024];
-      ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
+Status Client::AbsorbFrame(const Frame& frame) {
+  switch (frame.type) {
+    case FrameType::kCompleted:
+      completions_.push_back(CompletionFromFrame(frame));
+      if (outstanding_ > 0) --outstanding_;
+      return Status::OK();
+    case FrameType::kAccepted:
+    case FrameType::kRejected: {
+      // The server answers in submission order, so a verdict always
+      // belongs to the oldest SUBMIT still awaiting one.
+      if (awaiting_verdict_.empty() ||
+          frame.request_id != awaiting_verdict_.front()) {
         return Status::Internal(
-            StrPrintf("recv: %s", std::strerror(errno)));
+            StrPrintf("%s for unexpected request_id %llu",
+                      FrameTypeToString(frame.type),
+                      static_cast<unsigned long long>(frame.request_id)));
       }
-      if (n == 0) {
-        return Status::Internal(
-            "connection closed by server while awaiting reply");
+      awaiting_verdict_.pop_front();
+      SubmitResult result;
+      result.request_id = frame.request_id;
+      result.accepted = frame.type == FrameType::kAccepted;
+      if (result.accepted) {
+        ++outstanding_;
+      } else {
+        result.reject_reason = frame.reject_reason;
       }
-      inbuf_.insert(inbuf_.end(), chunk, chunk + n);
-      continue;
-    }
-    if (AbsorbFrame(frame)) continue;
-    if (frame.type == FrameType::kError) {
-      return Status::Internal(
-          StrPrintf("server error %s: %s",
-                    WireErrorToString(frame.error_code),
-                    frame.error_message.c_str()));
-    }
-    if (frame.type == want &&
-        (request_id == 0 || frame.request_id == request_id)) {
-      *out = frame;
+      verdicts_.push_back(result);
       return Status::OK();
     }
-    return Status::Internal(StrPrintf("unexpected frame %s while awaiting %s",
-                                      FrameTypeToString(frame.type),
-                                      FrameTypeToString(want)));
+    case FrameType::kError:
+      return Status::Internal(StrPrintf("server error %s: %s",
+                                        WireErrorToString(frame.error_code),
+                                        frame.error_message.c_str()));
+    default:
+      if (frame.type == reply_type_ && frame.request_id == reply_id_) {
+        reply_ = frame;
+        return Status::OK();
+      }
+      return Status::Internal(StrPrintf("unexpected frame %s",
+                                        FrameTypeToString(frame.type)));
   }
+}
+
+Status Client::WaitUntil(const std::function<bool()>& done,
+                         double timeout_seconds) {
+  const SteadyClock::time_point t0 = SteadyClock::now();
+  bool polled = false;
+  while (true) {
+    if (!conn_.Flush()) {
+      return Status::Internal(
+          StrPrintf("send: %s", std::strerror(conn_.error())));
+    }
+    // Absorb only as far as the caller needs: later frames stay buffered
+    // in the connection, so outstanding() counts them as still owed.
+    Frame frame;
+    Connection::RecvStatus status;
+    while (true) {
+      if (done()) return Status::OK();
+      status = conn_.Next(&frame);
+      if (status != Connection::RecvStatus::kFrame) break;
+      QSCHED_RETURN_NOT_OK(AbsorbFrame(frame));
+    }
+    if (status == Connection::RecvStatus::kCorrupt) {
+      return Status::Internal(
+          StrPrintf("protocol error from server: %s",
+                    DecodeStatusToString(conn_.decode_status())));
+    }
+    if (status == Connection::RecvStatus::kClosed) {
+      return Status::Internal(conn_.error() == 0
+                                  ? "connection closed by server"
+                                  : StrPrintf("recv: %s",
+                                              std::strerror(conn_.error())));
+    }
+    // Wait for bytes (or for room to write), bounded by what remains of
+    // the timeout; a zero timeout still takes one nonblocking look.
+    int poll_ms = -1;
+    if (timeout_seconds >= 0.0) {
+      const double remaining = timeout_seconds - SecondsSince(t0);
+      if (remaining <= 0.0 && polled) return Status::OK();
+      poll_ms = remaining <= 0.0 ? 0 : static_cast<int>(remaining * 1000.0) + 1;
+    }
+    pollfd pfd{conn_.fd(), POLLIN, 0};
+    if (conn_.wants_write()) pfd.events |= POLLOUT;
+    const int rc = poll(&pfd, 1, poll_ms);
+    polled = true;
+    if (rc < 0 && errno != EINTR) {
+      return Status::Internal(StrPrintf("poll: %s", std::strerror(errno)));
+    }
+    if (rc > 0 && (pfd.revents & ~POLLOUT) != 0) conn_.Receive();
+  }
+}
+
+Result<Frame> Client::RoundTrip(FrameType type, FrameType reply_type) {
+  Frame request;
+  request.type = type;
+  request.request_id = next_request_id_++;
+  // Queued after any pipelined SUBMITs, so those reach the server first.
+  conn_.Send(request);
+  reply_type_ = reply_type;
+  reply_id_ = request.request_id;
+  reply_.reset();
+  Status waited = WaitUntil([this] { return reply_.has_value(); }, -1.0);
+  reply_id_ = 0;
+  if (!waited.ok()) return waited;
+  return *std::move(reply_);
 }
 
 Result<Client::SubmitResult> Client::Submit(const workload::Query& query) {
-  if (drained_) {
-    return Status::FailedPrecondition("connection is drained");
-  }
-  Frame request;
-  request.type = FrameType::kSubmit;
-  request.request_id = next_request_id_++;
-  request.query = query;
-  request.want_trace = want_trace_;
-  QSCHED_RETURN_NOT_OK(Flush());  // Queued pipelined SUBMITs go first.
-  std::vector<uint8_t> bytes;
-  EncodeFrame(request, &bytes);
-  QSCHED_RETURN_NOT_OK(SendAll(bytes));
-
-  // The verdict for this submit is the next non-COMPLETED frame (after
-  // any still-owed pipelined verdicts): the server acks admissions in
-  // submission order on each connection.
-  while (true) {
-    Frame reply;
-    bool got = false;
-    QSCHED_RETURN_NOT_OK(ReadFrameInternal(&reply, &got));
-    if (!got) {
-      uint8_t chunk[16 * 1024];
-      ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::Internal(
-            StrPrintf("recv: %s", std::strerror(errno)));
-      }
-      if (n == 0) {
-        return Status::Internal(
-            "connection closed by server while awaiting verdict");
-      }
-      inbuf_.insert(inbuf_.end(), chunk, chunk + n);
-      continue;
-    }
-    if (AbsorbFrame(reply)) continue;
-    if (reply.type == FrameType::kError) {
-      return Status::Internal(
-          StrPrintf("server error %s: %s",
-                    WireErrorToString(reply.error_code),
-                    reply.error_message.c_str()));
-    }
-    if (reply.request_id != request.request_id) {
-      return Status::Internal("verdict for a different request_id");
-    }
-    SubmitResult result;
-    result.request_id = request.request_id;
-    if (reply.type == FrameType::kAccepted) {
-      result.accepted = true;
-      ++outstanding_;
-      return result;
-    }
-    if (reply.type == FrameType::kRejected) {
-      result.accepted = false;
-      result.reject_reason = reply.reject_reason;
-      return result;
-    }
-    return Status::Internal(StrPrintf("unexpected verdict frame %s",
-                                      FrameTypeToString(reply.type)));
-  }
+  // The pipelined path at depth 1: this SUBMIT is the youngest, so its
+  // verdict is in once no SUBMIT awaits one. Verdicts of older
+  // pipelined SUBMITs stay queued for PopVerdict/NextVerdict.
+  Result<uint64_t> request_id = SubmitNoWait(query);
+  if (!request_id.ok()) return request_id.status();
+  QSCHED_RETURN_NOT_OK(Flush());
+  QSCHED_RETURN_NOT_OK(
+      WaitUntil([this] { return awaiting_verdict_.empty(); }, -1.0));
+  SubmitResult result = verdicts_.back();
+  verdicts_.pop_back();
+  return result;
 }
 
 Result<uint64_t> Client::SubmitNoWait(const workload::Query& query) {
@@ -328,16 +267,13 @@ Result<uint64_t> Client::SubmitNoWait(const workload::Query& query) {
   request.request_id = next_request_id_++;
   request.query = query;
   request.want_trace = want_trace_;
-  EncodeFrame(request, &outbuf_);
+  conn_.Send(request);
   awaiting_verdict_.push_back(request.request_id);
   return request.request_id;
 }
 
 Status Client::Flush() {
-  if (outbuf_.empty()) return Status::OK();
-  Status sent = SendAll(outbuf_);
-  outbuf_.clear();
-  return sent;
+  return WaitUntil([this] { return !conn_.wants_write(); }, -1.0);
 }
 
 bool Client::PopVerdict(SubmitResult* out) {
@@ -348,41 +284,11 @@ bool Client::PopVerdict(SubmitResult* out) {
 }
 
 Result<Client::SubmitResult> Client::NextVerdict() {
-  while (verdicts_.empty()) {
-    if (awaiting_verdict_.empty()) {
-      return Status::FailedPrecondition(
-          "no pipelined submit is awaiting a verdict");
-    }
-    QSCHED_RETURN_NOT_OK(Flush());
-    Frame frame;
-    bool got = false;
-    QSCHED_RETURN_NOT_OK(ReadFrameInternal(&frame, &got));
-    if (!got) {
-      uint8_t chunk[16 * 1024];
-      ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::Internal(
-            StrPrintf("recv: %s", std::strerror(errno)));
-      }
-      if (n == 0) {
-        return Status::Internal(
-            "connection closed by server while awaiting verdict");
-      }
-      inbuf_.insert(inbuf_.end(), chunk, chunk + n);
-      continue;
-    }
-    if (AbsorbFrame(frame)) continue;
-    if (frame.type == FrameType::kError) {
-      return Status::Internal(
-          StrPrintf("server error %s: %s",
-                    WireErrorToString(frame.error_code),
-                    frame.error_message.c_str()));
-    }
-    return Status::Internal(
-        StrPrintf("unexpected frame %s while awaiting a pipelined verdict",
-                  FrameTypeToString(frame.type)));
+  if (verdicts_.empty() && awaiting_verdict_.empty()) {
+    return Status::FailedPrecondition(
+        "no pipelined submit is awaiting a verdict");
   }
+  QSCHED_RETURN_NOT_OK(WaitUntil([this] { return !verdicts_.empty(); }, -1.0));
   SubmitResult result = verdicts_.front();
   verdicts_.pop_front();
   return result;
@@ -399,106 +305,34 @@ Result<ClientCompletion> Client::NextCompletion() {
 
 Result<Client::PolledCompletion> Client::PollCompletion(
     double timeout_seconds) {
+  // Once drained, nothing more is coming: hand out only what is buffered.
+  if (completions_.empty() && !drained_) {
+    QSCHED_RETURN_NOT_OK(WaitUntil([this] { return !completions_.empty(); },
+                                   timeout_seconds));
+  }
   PolledCompletion result;
   if (!completions_.empty()) {
     result.found = true;
     result.completion = completions_.front();
     completions_.pop_front();
-    return result;
   }
-  if (drained_) return result;  // Nothing buffered, nothing coming.
-
-  const SteadyClock::time_point t0 = SteadyClock::now();
-  while (true) {
-    Frame frame;
-    bool got = false;
-    QSCHED_RETURN_NOT_OK(ReadFrameInternal(&frame, &got));
-    if (got) {
-      if (AbsorbFrame(frame)) {
-        if (!completions_.empty()) {
-          result.found = true;
-          result.completion = completions_.front();
-          completions_.pop_front();
-          return result;
-        }
-        continue;  // A pipelined verdict; keep waiting for a completion.
-      }
-      if (frame.type == FrameType::kError) {
-        return Status::Internal(
-            StrPrintf("server error %s: %s",
-                      WireErrorToString(frame.error_code),
-                      frame.error_message.c_str()));
-      }
-      return Status::Internal(
-          StrPrintf("unexpected frame %s while polling completions",
-                    FrameTypeToString(frame.type)));
-    }
-    // Wait for readability, bounded by what remains of the timeout.
-    int poll_ms = -1;
-    if (timeout_seconds >= 0.0) {
-      const double remaining = timeout_seconds - SecondsSince(t0);
-      if (remaining <= 0.0) return result;  // found=false
-      poll_ms = static_cast<int>(remaining * 1000.0) + 1;
-    }
-    pollfd pfd{fd_, POLLIN, 0};
-    int rc = poll(&pfd, 1, poll_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(StrPrintf("poll: %s", std::strerror(errno)));
-    }
-    if (rc == 0) return result;  // found=false
-    uint8_t chunk[16 * 1024];
-    ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return Status::Internal(StrPrintf("recv: %s", std::strerror(errno)));
-    }
-    if (n == 0) {
-      return Status::Internal(
-          "connection closed by server with completions outstanding");
-    }
-    inbuf_.insert(inbuf_.end(), chunk, chunk + n);
-  }
+  return result;
 }
 
 Status Client::Ping() {
-  Frame request;
-  request.type = FrameType::kPing;
-  request.request_id = next_request_id_++;
-  QSCHED_RETURN_NOT_OK(Flush());
-  std::vector<uint8_t> bytes;
-  EncodeFrame(request, &bytes);
-  QSCHED_RETURN_NOT_OK(SendAll(bytes));
-  Frame reply;
-  return ReadUntilType(FrameType::kPong, request.request_id, &reply);
+  return RoundTrip(FrameType::kPing, FrameType::kPong).status();
 }
 
 Result<WireStats> Client::Stats() {
-  Frame request;
-  request.type = FrameType::kStats;
-  request.request_id = next_request_id_++;
-  QSCHED_RETURN_NOT_OK(Flush());
-  std::vector<uint8_t> bytes;
-  EncodeFrame(request, &bytes);
-  QSCHED_RETURN_NOT_OK(SendAll(bytes));
-  Frame reply;
-  QSCHED_RETURN_NOT_OK(
-      ReadUntilType(FrameType::kStatsReply, request.request_id, &reply));
-  return reply.stats;
+  Result<Frame> reply = RoundTrip(FrameType::kStats, FrameType::kStatsReply);
+  if (!reply.ok()) return reply.status();
+  return reply.ValueOrDie().stats;
 }
 
 Status Client::Drain() {
   if (drained_) return Status::OK();
-  Frame request;
-  request.type = FrameType::kDrain;
-  request.request_id = next_request_id_++;
-  QSCHED_RETURN_NOT_OK(Flush());  // Pipelined SUBMITs precede the DRAIN.
-  std::vector<uint8_t> bytes;
-  EncodeFrame(request, &bytes);
-  QSCHED_RETURN_NOT_OK(SendAll(bytes));
-  Frame reply;
   QSCHED_RETURN_NOT_OK(
-      ReadUntilType(FrameType::kDrained, request.request_id, &reply));
+      RoundTrip(FrameType::kDrain, FrameType::kDrained).status());
   drained_ = true;
   return Status::OK();
 }

@@ -4,13 +4,16 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
+#include "net/connection.h"
 #include "net/frame.h"
 #include "obs/telemetry.h"
 #include "rt/loadgen.h"
@@ -51,10 +54,12 @@ struct ClientCompletion {
   }
 };
 
-/// Blocking client for the wire protocol: one TCP connection, one owning
-/// thread (the class is not thread-safe). Submit() returns the admission
-/// verdict; COMPLETED frames arriving while waiting for something else
-/// are buffered and handed out by NextCompletion()/PollCompletion().
+/// Client for the wire protocol: one net::Connection, one owning thread
+/// (the class is not thread-safe). Every blocking call is the same wait
+/// loop over the connection: Submit() is SubmitNoWait() + Flush() + wait
+/// for that SUBMIT's verdict; COMPLETED frames and older pipelined
+/// verdicts arriving meanwhile are buffered and handed out by
+/// NextCompletion()/PollCompletion() and PopVerdict()/NextVerdict().
 class Client {
  public:
   /// Connects to host:port. `connect_timeout_seconds` as in ConnectFd:
@@ -62,7 +67,6 @@ class Client {
   static Result<std::unique_ptr<Client>> Connect(
       const std::string& host, uint16_t port,
       double connect_timeout_seconds = 0.0);
-  ~Client();
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
@@ -137,31 +141,36 @@ class Client {
   void set_want_trace(bool want) { want_trace_ = want; }
 
  private:
-  explicit Client(int fd) : fd_(fd) {}
+  explicit Client(int fd) : conn_(fd) {}
 
-  /// One non-blocking decode attempt against the input buffer: sets
-  /// *got_frame when a complete frame was decoded (and consumed).
-  Status ReadFrameInternal(Frame* frame, bool* got_frame);
-  Status ReadUntilType(FrameType want, uint64_t request_id, Frame* out);
-  Status SendAll(const std::vector<uint8_t>& bytes);
-  /// Routes a frame to the completion or pipelined-verdict buffer;
-  /// false when the caller should interpret it itself.
-  bool AbsorbFrame(const Frame& frame);
+  /// Routes one inbound frame: COMPLETED to the completion buffer, a
+  /// verdict to the pipelined-verdict buffer, the reply RoundTrip()
+  /// awaits to reply_. ERROR and anything unexpected fail.
+  Status AbsorbFrame(const Frame& frame);
+  /// The one wait loop: flushes queued bytes and absorbs inbound frames
+  /// until `done()` holds or `timeout_seconds` pass (< 0 = no limit).
+  /// A timeout is OK too; callers re-check their own condition.
+  Status WaitUntil(const std::function<bool()>& done,
+                   double timeout_seconds);
+  /// Sends a header-only request and waits for its `reply_type` reply.
+  Result<Frame> RoundTrip(FrameType type, FrameType reply_type);
 
-  int fd_ = -1;
+  Connection conn_;
   bool drained_ = false;
   bool want_trace_ = true;
   uint64_t next_request_id_ = 1;
   size_t outstanding_ = 0;
-  std::vector<uint8_t> inbuf_;
-  /// SUBMITs queued by SubmitNoWait, flushed by Flush().
-  std::vector<uint8_t> outbuf_;
   std::deque<ClientCompletion> completions_;
-  /// request_ids of pipelined SUBMITs whose verdict is still on the wire
-  /// (FIFO — the server answers in submission order).
+  /// request_ids of SUBMITs whose verdict is still on the wire (FIFO —
+  /// the server answers in submission order).
   std::deque<uint64_t> awaiting_verdict_;
   /// Verdicts received but not yet popped.
   std::deque<SubmitResult> verdicts_;
+  /// The reply RoundTrip() is waiting for (reply_id_ 0 = none); set in
+  /// reply_ once it arrived.
+  FrameType reply_type_ = FrameType::kPong;
+  uint64_t reply_id_ = 0;
+  std::optional<Frame> reply_;
 };
 
 /// Mix entry for the remote load generator: a service class, its weight

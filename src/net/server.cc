@@ -2,13 +2,11 @@
 
 #include <arpa/inet.h>
 #include <errno.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,16 +15,6 @@
 #include "common/strings.h"
 
 namespace qsched::net {
-
-namespace {
-
-bool SetNonBlocking(int fd) {
-  int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return false;
-  return fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-}  // namespace
 
 void Server::Mailbox::Post(PendingCompletion completion) {
   std::lock_guard<std::mutex> lock(mu);
@@ -252,7 +240,7 @@ void Server::ReactorLoop(Reactor* reactor) {
       }
       for (const auto& [id, conn] : reactor->conns) {
         if (busy) break;
-        if (conn.in_flight > 0 || !conn.outq.empty() ||
+        if (conn.in_flight > 0 || conn.io.wants_write() ||
             !conn.verdict_order.empty()) {
           busy = true;
         }
@@ -271,9 +259,9 @@ void Server::ReactorLoop(Reactor* reactor) {
     for (const auto& [id, conn] : reactor->conns) {
       short events = 0;
       if (!conn.input_done && !conn.closing) events |= POLLIN;
-      if (!conn.outq.empty()) events |= POLLOUT;
+      if (conn.io.wants_write()) events |= POLLOUT;
       if (events == 0) continue;
-      fds.push_back({conn.fd, events, 0});
+      fds.push_back({conn.io.fd(), events, 0});
       fd_conn.push_back(id);
     }
 
@@ -296,11 +284,9 @@ void Server::ReactorLoop(Reactor* reactor) {
       if (reactor->conns.find(conn_id) == reactor->conns.end()) continue;
       // POLLHUP can coexist with buffered readable data (half-close
       // after a DRAIN, say) — always let recv() discover the EOF.
+      // POLLOUT needs nothing here: every connection flushes below.
       if (fds[i].revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL)) {
         ReadFromConnection(reactor, conn_id);
-      }
-      if (reactor->conns.count(conn_id) && (fds[i].revents & POLLOUT)) {
-        FlushConnection(reactor, conn_id);
       }
     }
 
@@ -314,10 +300,12 @@ void Server::ReactorLoop(Reactor* reactor) {
     // Opportunistic flush + deferred closes.
     std::vector<uint64_t> to_close;
     for (auto& [id, conn] : reactor->conns) {
-      FlushConnection(reactor, id);
-    }
-    for (auto& [id, conn] : reactor->conns) {
-      bool flushed = conn.outq.empty();
+      if (!conn.io.Flush()) {
+        // Peer is unreachable; the queued bytes were dropped.
+        conn.input_done = true;
+        conn.closing = true;
+      }
+      bool flushed = !conn.io.wants_write();
       if (conn.closing && flushed) to_close.push_back(id);
       // Peer hung up and nothing is coming back to it anymore.
       if (conn.input_done && conn.in_flight == 0 &&
@@ -370,7 +358,6 @@ void Server::AcceptNew(Reactor* reactor) {
       close(fd);
       continue;
     }
-    SetNonBlocking(fd);
     int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     uint64_t id = next_conn_id_.fetch_add(1);
@@ -385,9 +372,7 @@ void Server::AcceptNew(Reactor* reactor) {
     // fd parked in its hand-off queue and a wakeup byte.
     Reactor* target = reactors_[next_reactor_++ % reactors_.size()].get();
     if (target == reactor) {
-      Connection conn;
-      conn.fd = fd;
-      reactor->conns.emplace(id, std::move(conn));
+      reactor->conns.try_emplace(id, fd, options_.max_frame_payload);
     } else {
       {
         std::lock_guard<std::mutex> lock(target->handoff_mu);
@@ -407,74 +392,52 @@ void Server::AdoptHandoff(Reactor* reactor) {
     batch.swap(reactor->handoff);
   }
   for (const auto& [id, fd] : batch) {
-    Connection conn;
-    conn.fd = fd;
-    reactor->conns.emplace(id, std::move(conn));
+    reactor->conns.try_emplace(id, fd, options_.max_frame_payload);
   }
 }
 
 void Server::ReadFromConnection(Reactor* reactor, uint64_t conn_id) {
   auto it = reactor->conns.find(conn_id);
   if (it == reactor->conns.end()) return;
-  Connection& conn = it->second;
+  Session& conn = it->second;
+  conn.io.Receive();
 
-  char buf[64 * 1024];
-  while (true) {
-    ssize_t n = recv(conn.fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn.inbuf.insert(conn.inbuf.end(), buf, buf + n);
-      if (n < static_cast<ssize_t>(sizeof(buf))) break;
-      continue;
-    }
-    if (n == 0) {
-      conn.input_done = true;  // EOF; keep delivering completions
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    conn.input_done = true;
-    break;
-  }
-
-  // Drain every complete frame this read produced before returning to
+  // Handle every complete frame this read produced before returning to
   // poll(): a pipelining client may have dozens of SUBMITs in one
   // segment, and each loop turn below costs no syscall.
-  size_t offset = 0;
+  Frame frame;
   while (!conn.closing) {
-    Frame frame;
-    size_t consumed = 0;
-    DecodeStatus status =
-        DecodeFrame(conn.inbuf.data() + offset, conn.inbuf.size() - offset,
-                    &frame, &consumed, options_.max_frame_payload);
-    if (status == DecodeStatus::kNeedMore) break;
-    if (status != DecodeStatus::kOk) {
-      // Framing is lost: tell the peer exactly why, then drop it.
-      protocol_errors_.fetch_add(1);
-      if (protocol_errors_counter_ != nullptr) {
-        protocol_errors_counter_->Inc();
+    switch (conn.io.Next(&frame)) {
+      case Connection::RecvStatus::kFrame:
+        break;
+      case Connection::RecvStatus::kIdle:
+        return;
+      case Connection::RecvStatus::kClosed:
+        conn.input_done = true;  // EOF; keep delivering completions
+        return;
+      case Connection::RecvStatus::kCorrupt: {
+        // Framing is lost: tell the peer exactly why, then drop it.
+        protocol_errors_.fetch_add(1);
+        if (protocol_errors_counter_ != nullptr) {
+          protocol_errors_counter_->Inc();
+        }
+        const DecodeStatus status = conn.io.decode_status();
+        Frame error;
+        error.type = FrameType::kError;
+        error.error_code = DecodeStatusToWireError(status);
+        error.error_message = DecodeStatusToString(status);
+        SendFrame(&conn, error);
+        conn.closing = true;
+        conn.input_done = true;
+        return;
       }
-      Frame error;
-      error.type = FrameType::kError;
-      error.error_code = DecodeStatusToWireError(status);
-      error.error_message = DecodeStatusToString(status);
-      SendFrame(&conn, error);
-      conn.closing = true;
-      conn.input_done = true;
-      break;
     }
-    offset += consumed;
     // The peer's latest frame sets the reply version for this
     // connection: a v1 client keeps getting v1 frames it can decode.
     conn.version = frame.version;
     frames_received_.fetch_add(1);
     if (frames_in_counter_ != nullptr) frames_in_counter_->Inc();
-    if (!HandleFrame(reactor, conn_id, frame)) break;
-    // HandleFrame may have invalidated the iterator's connection.
-    auto again = reactor->conns.find(conn_id);
-    if (again == reactor->conns.end()) return;
-  }
-  if (offset > 0) {
-    conn.inbuf.erase(conn.inbuf.begin(),
-                     conn.inbuf.begin() + static_cast<ptrdiff_t>(offset));
+    if (!HandleFrame(reactor, conn_id, frame)) return;
   }
 }
 
@@ -482,7 +445,7 @@ bool Server::HandleFrame(Reactor* reactor, uint64_t conn_id,
                          const Frame& frame) {
   auto it = reactor->conns.find(conn_id);
   if (it == reactor->conns.end()) return false;
-  Connection& conn = it->second;
+  Session& conn = it->second;
 
   switch (frame.type) {
     case FrameType::kSubmit: {
@@ -617,7 +580,7 @@ void Server::DrainMailbox(Reactor* reactor) {
       }
       continue;
     }
-    Connection& conn = it->second;
+    Session& conn = it->second;
     if (conn.verdicts_ready.count(completion.request_id) > 0) {
       // Its ACCEPTED frame has not gone out yet (an older SUBMIT's
       // verdict is still owed); the completion rides out right behind
@@ -631,7 +594,7 @@ void Server::DrainMailbox(Reactor* reactor) {
   }
 }
 
-void Server::EmitVerdict(Connection* conn, uint64_t request_id,
+void Server::EmitVerdict(Session* conn, uint64_t request_id,
                          bool accepted, rt::RejectReason reason) {
   Frame reply;
   reply.request_id = request_id;
@@ -664,7 +627,7 @@ void Server::EmitVerdict(Connection* conn, uint64_t request_id,
 void Server::ReleaseReadyVerdicts(Reactor* reactor, uint64_t conn_id) {
   auto it = reactor->conns.find(conn_id);
   if (it == reactor->conns.end()) return;
-  Connection& conn = it->second;
+  Session& conn = it->second;
   while (!conn.verdict_order.empty()) {
     const uint64_t request_id = conn.verdict_order.front();
     auto ready = conn.verdicts_ready.find(request_id);
@@ -683,7 +646,7 @@ void Server::ReleaseReadyVerdicts(Reactor* reactor, uint64_t conn_id) {
   MaybeFinishDrain(reactor, conn_id);
 }
 
-void Server::DeliverCompletion(Reactor* reactor, Connection* conn,
+void Server::DeliverCompletion(Reactor* reactor, Session* conn,
                                const PendingCompletion& completion) {
   const ServiceCompletion& payload = completion.payload;
   Frame frame;
@@ -735,7 +698,7 @@ obs::Histogram* Server::FlushStageHistogram(Reactor* reactor, int class_id) {
 void Server::MaybeFinishDrain(Reactor* reactor, uint64_t conn_id) {
   auto it = reactor->conns.find(conn_id);
   if (it == reactor->conns.end()) return;
-  Connection& conn = it->second;
+  Session& conn = it->second;
   if (!conn.draining || conn.in_flight > 0 ||
       !conn.verdict_order.empty() || conn.closing) {
     return;
@@ -747,71 +710,18 @@ void Server::MaybeFinishDrain(Reactor* reactor, uint64_t conn_id) {
   conn.closing = true;
 }
 
-void Server::SendFrame(Connection* conn, Frame frame) {
+void Server::SendFrame(Session* conn, Frame frame) {
   frame.version = conn->version;
-  // Coalesce into the open tail buffer. Only the front buffer can be
-  // partially flushed, so appending to the back is safe — unless the
-  // back IS the partially-flushed front, in which case open a new one.
-  if (conn->outq.empty() ||
-      (conn->outq.size() == 1 && conn->front_offset > 0)) {
-    conn->outq.emplace_back();
-  }
-  EncodeFrame(frame, &conn->outq.back());
+  conn->io.Send(frame);
   frames_sent_.fetch_add(1);
   if (frames_out_counter_ != nullptr) frames_out_counter_->Inc();
-}
-
-void Server::FlushConnection(Reactor* reactor, uint64_t conn_id) {
-  auto it = reactor->conns.find(conn_id);
-  if (it == reactor->conns.end()) return;
-  Connection& conn = it->second;
-  while (!conn.outq.empty()) {
-    // Gather the queued buffers into one syscall (sendmsg is writev
-    // with MSG_NOSIGNAL): one call can carry many COMPLETED frames.
-    constexpr int kMaxIov = 64;
-    struct iovec iov[kMaxIov];
-    int iovcnt = 0;
-    for (auto buf = conn.outq.begin();
-         buf != conn.outq.end() && iovcnt < kMaxIov; ++buf, ++iovcnt) {
-      size_t skip = iovcnt == 0 ? conn.front_offset : 0;
-      iov[iovcnt].iov_base = buf->data() + skip;
-      iov[iovcnt].iov_len = buf->size() - skip;
-    }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<size_t>(iovcnt);
-    ssize_t n = sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
-    if (n > 0) {
-      size_t left = static_cast<size_t>(n);
-      while (left > 0) {
-        size_t remaining = conn.outq.front().size() - conn.front_offset;
-        if (left >= remaining) {
-          left -= remaining;
-          conn.outq.pop_front();
-          conn.front_offset = 0;
-        } else {
-          conn.front_offset += left;
-          left = 0;
-        }
-      }
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    // Peer is unreachable; everything still buffered is undeliverable.
-    conn.outq.clear();
-    conn.front_offset = 0;
-    conn.input_done = true;
-    conn.closing = true;
-    return;
-  }
 }
 
 void Server::CloseConnection(Reactor* reactor, uint64_t conn_id) {
   auto it = reactor->conns.find(conn_id);
   if (it == reactor->conns.end()) return;
   // Completions still in flight for this connection will be dropped by
-  // DrainMailbox when they surface.
-  close(it->second.fd);
+  // DrainMailbox when they surface. Erasing the session closes its fd.
   reactor->conns.erase(it);
   active_connections_.fetch_sub(1);
   if (connections_gauge_ != nullptr) {

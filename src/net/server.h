@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "net/connection.h"
 #include "net/frame.h"
 #include "net/service.h"
 #include "obs/telemetry.h"
@@ -63,10 +64,10 @@ struct ServerOptions {
 /// wakeup pipe; from then on, exactly one reactor thread owns the
 /// connection object and all its socket I/O — reactors share no
 /// connection state, so they never lock against each other on the data
-/// path. A connection's read loop drains every complete frame per
-/// read(), and its responses are queued as per-frame buffers and flushed
-/// with one writev()-style gathered syscall, so one syscall can carry
-/// many COMPLETED frames.
+/// path. Each connection's bytes go through a net::Connection: every
+/// complete frame of a read is handled before the next poll(), and
+/// queued responses leave in one gathered sendmsg(), so one syscall can
+/// carry many COMPLETED frames.
 ///
 /// Completion callbacks fire on the runtime's clock thread, under the
 /// core lock — they must not touch sockets, so they post {connection,
@@ -168,15 +169,11 @@ class Server {
     void PostVerdict(PendingVerdict verdict);
   };
 
-  struct Connection {
-    int fd = -1;
-    std::vector<uint8_t> inbuf;
-    /// Outbound frames as queued buffers: SendFrame appends into the
-    /// open tail buffer, FlushConnection gathers the queue into one
-    /// sendmsg (writev) call. Only the front buffer can be partially
-    /// sent; `front_offset` is how much of it already went out.
-    std::deque<std::vector<uint8_t>> outq;
-    size_t front_offset = 0;
+  /// Per-connection protocol state around the framed byte stream.
+  struct Session {
+    Session(int fd, size_t max_payload) : io(fd, max_payload) {}
+
+    Connection io;
     uint64_t in_flight = 0;
     /// Wire version negotiated per connection: every reply is encoded in
     /// the version of the last frame the peer sent. Starts at v1 (the
@@ -186,7 +183,8 @@ class Server {
     /// DRAIN received: no more SUBMITs; DRAINED + close once idle.
     bool draining = false;
     uint64_t drain_request_id = 0;
-    /// Flush outq, then close (protocol error or completed drain).
+    /// Flush the outbound queue, then close (protocol error or completed
+    /// drain).
     bool closing = false;
     /// Input is done (peer EOF or error); stop polling POLLIN.
     bool input_done = false;
@@ -216,7 +214,7 @@ class Server {
     std::vector<std::pair<uint64_t, int>> handoff;
 
     // Reactor-thread-owned.
-    std::map<uint64_t, Connection> conns;
+    std::map<uint64_t, Session> conns;
     std::map<int, obs::Histogram*> flush_stage_hists;
   };
 
@@ -232,21 +230,20 @@ class Server {
   void DrainMailbox(Reactor* reactor);
   /// Sends the verdict frame for one SUBMIT and does its accounting
   /// (counter bumps, in_flight on accept).
-  void EmitVerdict(Connection* conn, uint64_t request_id, bool accepted,
+  void EmitVerdict(Session* conn, uint64_t request_id, bool accepted,
                    rt::RejectReason reason);
   /// Releases every in-order verdict that has resolved, and any held
   /// completion riding right behind its verdict frame.
   void ReleaseReadyVerdicts(Reactor* reactor, uint64_t conn_id);
   /// Sends one COMPLETED frame and does its accounting.
-  void DeliverCompletion(Reactor* reactor, Connection* conn,
+  void DeliverCompletion(Reactor* reactor, Session* conn,
                          const PendingCompletion& completion);
   /// Per-class qsched_stage_seconds{stage="flush"} histogram (owning
   /// reactor thread only).
   obs::Histogram* FlushStageHistogram(Reactor* reactor, int class_id);
-  /// Stamps the connection's negotiated version on the frame, encodes it
-  /// into the outq and counts it.
-  void SendFrame(Connection* conn, Frame frame);
-  void FlushConnection(Reactor* reactor, uint64_t conn_id);
+  /// Stamps the connection's negotiated version on the frame, queues it
+  /// and counts it.
+  void SendFrame(Session* conn, Frame frame);
   void CloseConnection(Reactor* reactor, uint64_t conn_id);
   void MaybeFinishDrain(Reactor* reactor, uint64_t conn_id);
   /// Tickles every reactor's wakeup pipe.

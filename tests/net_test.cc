@@ -152,6 +152,53 @@ TEST(NetTest, PipelinedSubmissionConservesEveryQuery) {
   EXPECT_EQ(harness.server->protocol_errors(), 0u);
 }
 
+// A blocking Submit behind pipelined ones on the same connection: it
+// returns its own verdict, the older verdicts stay queued in order, and
+// the connection's accounting balances after the drain.
+TEST(NetTest, BlockingSubmitAfterPipelinedKeepsVerdictOrder) {
+  ServerHarness harness;
+  Result<std::unique_ptr<Client>> connected =
+      Client::Connect("127.0.0.1", harness.server->port());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  std::unique_ptr<Client> client = std::move(connected).ValueOrDie();
+
+  workload::TpccWorkload oltp(workload::TpccWorkloadParams{}, /*seed=*/21);
+  std::vector<uint64_t> pipelined;
+  for (int i = 0; i < 3; ++i) {
+    Result<uint64_t> rid = client->SubmitNoWait(NextOltp(&oltp, i));
+    ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+    pipelined.push_back(rid.ValueOrDie());
+  }
+  Result<Client::SubmitResult> blocking = client->Submit(NextOltp(&oltp, 3));
+  ASSERT_TRUE(blocking.ok()) << blocking.status().ToString();
+  EXPECT_EQ(blocking.ValueOrDie().request_id, pipelined.back() + 1);
+  EXPECT_EQ(client->verdicts_pending(), pipelined.size());
+
+  uint64_t accepted = blocking.ValueOrDie().accepted ? 1 : 0;
+  for (uint64_t want : pipelined) {
+    Client::SubmitResult verdict;
+    ASSERT_TRUE(client->PopVerdict(&verdict));
+    EXPECT_EQ(verdict.request_id, want);
+    if (verdict.accepted) ++accepted;
+  }
+  Client::SubmitResult extra;
+  EXPECT_FALSE(client->PopVerdict(&extra));
+  EXPECT_EQ(accepted, 4u);
+
+  ASSERT_TRUE(client->Drain().ok());
+  EXPECT_EQ(client->outstanding(), 0u);
+  uint64_t received = 0;
+  while (true) {
+    Result<Client::PolledCompletion> polled = client->PollCompletion(0.0);
+    ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+    if (!polled.ValueOrDie().found) break;
+    ++received;
+  }
+  EXPECT_EQ(received, accepted);
+  EXPECT_EQ(harness.server->submits_accepted(), accepted);
+  EXPECT_EQ(harness.server->completions_delivered(), accepted);
+}
+
 TEST(NetTest, EightConnectionStressConservesEveryQuery) {
   ServerHarness harness;
   RemoteLoadOptions options;

@@ -1,11 +1,18 @@
 // Component micro-benchmarks (google-benchmark): the hot paths of the
-// simulator and the control plane. These bound how much simulated load
-// the harness can drive and how expensive one planning cycle is.
+// simulator, the control plane and the replay trace codec. These bound
+// how much simulated load the harness can drive, how expensive one
+// planning cycle is and how fast a what-if run can load its trace.
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "engine/resources.h"
 #include "optimizer/cost_model.h"
+#include "replay/trace_format.h"
 #include "scheduler/solver.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
@@ -109,6 +116,55 @@ void BM_HistogramQuantile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HistogramQuantile);
+
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> buffer(64 * 1024);
+  Rng rng(3);
+  for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.NextU32());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(replay::Crc32(buffer.data(), buffer.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(buffer.size()));
+}
+BENCHMARK(BM_Crc32);
+
+/// Writes 48k records (the whatif_des trace size) through TraceWriter and
+/// reads them back with ReadTraceFile.
+void BM_TraceWriteRead(benchmark::State& state) {
+  constexpr size_t kRecords = 48000;
+  std::vector<replay::TraceRecord> records(kRecords);
+  Rng rng(4);
+  uint64_t arrival = 0;
+  for (size_t i = 0; i < kRecords; ++i) {
+    arrival += rng.NextU32() % 2000000;
+    records[i].arrival_ns = arrival;
+    records[i].trace_id = i + 1;
+    records[i].cost_timerons = static_cast<double>(rng.NextU32() % 100000);
+    records[i].class_id = static_cast<uint16_t>(1 + rng.NextU32() % 3);
+    records[i].template_id = static_cast<uint16_t>(rng.NextU32() % 18);
+  }
+  replay::TraceWriterOptions options;
+  options.path = (std::filesystem::temp_directory_path() /
+                  "qsched_micro_trace.qsrt")
+                     .string();
+  for (auto _ : state) {
+    auto writer = replay::TraceWriter::Open(options).ValueOrDie();
+    for (const replay::TraceRecord& record : records) {
+      if (!writer->Append(record).ok()) state.SkipWithError("append");
+    }
+    if (!writer->Close().ok()) state.SkipWithError("close");
+    Result<replay::TraceReadResult> read = replay::ReadTraceFile(options.path);
+    if (!read.ok() || read.ValueOrDie().records.size() != kRecords) {
+      state.SkipWithError("read back");
+    }
+    benchmark::DoNotOptimize(read);
+  }
+  std::remove(options.path.c_str());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kRecords));
+}
+BENCHMARK(BM_TraceWriteRead)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

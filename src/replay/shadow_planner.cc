@@ -208,10 +208,14 @@ ShadowPlanner::ShadowPlanner(const TraceReadResult& trace,
       options_(options),
       classes_(sched::MakePaperClasses()),
       sorted_(trace.records) {
-  std::stable_sort(sorted_.begin(), sorted_.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return a.arrival_ns < b.arrival_ns;
-                   });
+  const auto by_arrival = [](const TraceRecord& a, const TraceRecord& b) {
+    return a.arrival_ns < b.arrival_ns;
+  };
+  // Captures are almost always in arrival order already, and a stable
+  // sort of sorted input is the identity.
+  if (!std::is_sorted(sorted_.begin(), sorted_.end(), by_arrival)) {
+    std::stable_sort(sorted_.begin(), sorted_.end(), by_arrival);
+  }
 }
 
 ShadowOutcome ShadowPlanner::EvaluateOne(

@@ -12,8 +12,10 @@
 
 namespace qsched::replay {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected, table-driven). `seed` lets
-/// callers chain calls over split buffers; pass the previous return value.
+/// CRC-32 (IEEE 802.3 polynomial, reflected), computed slicing-by-8: eight
+/// bytes per step, the same values as the classic bytewise table. `seed`
+/// lets callers chain calls over split buffers; pass the previous return
+/// value.
 uint32_t Crc32(const uint8_t* data, size_t len, uint32_t seed = 0);
 
 /// One captured arrival. Everything the replayer and the shadow planner
@@ -110,8 +112,11 @@ class TraceWriter {
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
+  /// The first failed write is sticky: that call and every later Append,
+  /// Flush, WriteSummary and Close return it, because the file now lacks
+  /// records.
   Status Append(const TraceRecord& record);
-  /// Seals the pending records into a CRC'd segment and flushes it.
+  /// Seals the open segment's records, CRCs them and writes the segment.
   Status Flush();
   /// Flushes, then appends the summary as its own segment (always to the
   /// newest file).
@@ -130,12 +135,18 @@ class TraceWriter {
   explicit TraceWriter(const TraceWriterOptions& options);
 
   Status OpenFile(const std::string& path);
-  Status WriteSegment(uint32_t type, const std::vector<uint8_t>& payload,
-                      uint32_t count);
+  /// Fills in the open segment's header, writes it and starts a new one.
+  Status SealSegment(uint32_t type, uint32_t count);
+  /// Records `message` as the sticky error and returns it.
+  Status Fail(const std::string& message);
 
   TraceWriterOptions options_;
   std::ofstream out_;
-  std::vector<TraceRecord> pending_;
+  /// The open segment: header space, then each appended record encoded
+  /// in place.
+  std::vector<uint8_t> segment_;
+  size_t segment_records_ = 0;
+  Status error_;
   std::vector<std::string> files_;
   uint64_t bytes_current_file_ = 0;
   uint64_t bytes_total_ = 0;

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +33,10 @@
 
 namespace qsched::replay {
 namespace {
+
+// Size and Crc32 of the file TraceFileBytesPinned writes.
+constexpr size_t kPinnedBytes = 84200;
+constexpr uint32_t kPinnedCrc = 0x04D18BDDu;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "qsched_replay_" + name;
@@ -209,6 +215,190 @@ TEST(ReplayTest, CorruptSegmentSkippedOthersSurvive) {
     EXPECT_TRUE(result.records[i] == records[i + 100]);
   }
   std::remove(path.c_str());
+}
+
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// One bit at a time, straight from the polynomial: the reference the
+/// table-driven Crc32 must match.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t len, uint32_t seed = 0) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(ReplayTest, Crc32KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()),
+                  check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+
+  Rng rng(21);
+  std::vector<uint8_t> buffer(64 * 1024);
+  for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.NextU32());
+  // Lengths 0-17 cover every tail size with zero, one and two 8-byte
+  // steps; the offsets misalign the 8-byte loads.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 17; ++len) {
+      EXPECT_EQ(Crc32(buffer.data() + offset, len),
+                BitwiseCrc32(buffer.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  const uint32_t whole = Crc32(buffer.data(), buffer.size());
+  EXPECT_EQ(whole, BitwiseCrc32(buffer.data(), buffer.size()));
+
+  // Chaining through `seed` at any split point gives the one-shot value.
+  const size_t n = 1000;
+  const uint32_t one_shot = Crc32(buffer.data(), n);
+  for (size_t split = 0; split <= n; ++split) {
+    const uint32_t head = Crc32(buffer.data(), split);
+    EXPECT_EQ(Crc32(buffer.data() + split, n - split, head), one_shot)
+        << "split " << split;
+  }
+  EXPECT_EQ(Crc32(buffer.data() + 4096, buffer.size() - 4096,
+                  Crc32(buffer.data(), 4096)),
+            whole);
+}
+
+// The exact bytes of a fixed trace, captured from the bytewise-CRC,
+// per-field codec this one replaced: any format drift fails here.
+TEST(ReplayTest, TraceFileBytesPinned) {
+  const std::string path = TempPath("pinned.bin");
+  TraceWriterOptions options;
+  options.path = path;  // default 1024 records per segment: 3 segments
+  options.header.time_scale = 60.0;
+  options.header.seed = 42;
+  TraceSummary summary;
+  summary.control_interval_seconds = 15.0;
+  summary.system_cost_limit = 300000.0;
+  summary.total_utility = 2.75;
+  summary.allocator = 1;
+  summary.classes.push_back({1, 0.5, 0.42, 120000.0});
+  summary.classes.push_back({3, 1.0, 0.125, 60000.0});
+  const std::vector<TraceRecord> records = RandomRecords(3000, 15);
+  ASSERT_TRUE(WriteAll(options, records, &summary).ok());
+
+  const std::vector<uint8_t> bytes = ReadBytes(path);
+  EXPECT_EQ(bytes.size(), kPinnedBytes);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), kPinnedCrc);
+
+  Result<TraceReadResult> read = ReadTraceFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.ValueOrDie().segments_ok, 4u);
+  EXPECT_TRUE(read.ValueOrDie().records == records);
+  std::remove(path.c_str());
+}
+
+TEST(ReplayTest, ShortFilesRejected) {
+  const std::string path = TempPath("short.bin");
+  WriteBytes(path, {});
+  Result<TraceReadResult> empty = ReadTraceFile(path);
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+
+  // A real header cut one byte short of its 32.
+  TraceWriterOptions options;
+  options.path = path;
+  ASSERT_TRUE(WriteAll(options, {}).ok());
+  std::vector<uint8_t> bytes = ReadBytes(path);
+  ASSERT_EQ(bytes.size(), 32u);
+  bytes.pop_back();
+  WriteBytes(path, bytes);
+  Result<TraceReadResult> cut = ReadTraceFile(path);
+  ASSERT_FALSE(cut.ok());
+  EXPECT_EQ(cut.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(ReplayTest, DirectoryPathIsAnError) {
+  EXPECT_FALSE(ReadTraceFile(::testing::TempDir()).ok());
+  EXPECT_FALSE(ReadTraceChain(::testing::TempDir()).ok());
+}
+
+TEST(ReplayTest, OversizedSegmentCountIsCorrupt) {
+  const std::vector<TraceRecord> records = RandomRecords(300, 19);
+  const std::string path = TempPath("oversized.bin");
+  TraceWriterOptions options;
+  options.path = path;
+  options.records_per_segment = 100;
+  ASSERT_TRUE(WriteAll(options, records).ok());
+
+  // Forge a segment with a valid CRC over one record's 28 bytes whose
+  // header claims 2^32 - 1 records, and put it before the intact ones.
+  std::vector<uint8_t> payload(TraceRecord::kWireBytes, 0xAB);
+  const uint32_t fields[] = {0x47455351u, 0u, 0xFFFFFFFFu,
+                             static_cast<uint32_t>(payload.size()),
+                             Crc32(payload.data(), payload.size())};
+  std::vector<uint8_t> forged;
+  for (uint32_t field : fields) {
+    for (int i = 0; i < 4; ++i) {
+      forged.push_back(static_cast<uint8_t>(field >> (8 * i)));
+    }
+  }
+  forged.insert(forged.end(), payload.begin(), payload.end());
+  std::vector<uint8_t> bytes = ReadBytes(path);
+  bytes.insert(bytes.begin() + 32, forged.begin(), forged.end());
+  WriteBytes(path, bytes);
+
+  Result<TraceReadResult> read = ReadTraceFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  const TraceReadResult& result = read.ValueOrDie();
+  EXPECT_EQ(result.segments_corrupt, 1u);
+  EXPECT_EQ(result.segments_ok, 3u);
+  EXPECT_TRUE(result.records == records);
+  // Nothing was sized from the forged count.
+  EXPECT_LE(result.records.capacity(),
+            bytes.size() / TraceRecord::kWireBytes);
+  std::remove(path.c_str());
+}
+
+// A failed segment write (disk full) loses records, so it must not be
+// forgotten by the time the capture is closed.
+TEST(ReplayTest, WriterFailureSurvivesClose) {
+  const std::string full = "/dev/full";
+  if (!std::ifstream(full)) GTEST_SKIP() << full << " is not available";
+  TraceWriterOptions options;
+  options.path = full;
+  options.records_per_segment = 1;
+  Result<std::unique_ptr<TraceWriter>> opened = TraceWriter::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<TraceWriter> writer = std::move(opened).ValueOrDie();
+  const TraceRecord record = RandomRecords(1, 23)[0];
+  const Status failed = writer->Append(record);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(writer->Append(record), failed);
+  EXPECT_EQ(writer->Flush(), failed);
+  EXPECT_EQ(writer->WriteSummary(TraceSummary{}), failed);
+  EXPECT_EQ(writer->Close(), failed);
+  EXPECT_EQ(writer->Close(), failed);
+  EXPECT_EQ(writer->records_written(), 0u);
+
+  RecorderOptions recorder_options;
+  recorder_options.writer = options;
+  TraceRecorder recorder(recorder_options);
+  ASSERT_TRUE(recorder.Start().ok());
+  workload::TpccWorkload gen(workload::TpccWorkloadParams{}, 5);
+  workload::Query query = gen.Next();
+  query.class_id = 3;
+  recorder.Record(query);
+  EXPECT_FALSE(recorder.Stop().ok());
 }
 
 TEST(ReplayTest, TemplateCodecRoundTrip) {

@@ -345,7 +345,7 @@ RtGatewayNumbers BenchRtGateway(double qps, double duration_seconds,
   qsched::workload::TpccWorkload oltp(tpcc, /*seed=*/9);
 
   qsched::rt::LoadGenOptions load;
-  load.pattern = qsched::rt::ArrivalPattern::kConstant;
+  load.shape.pattern = qsched::rt::ArrivalPattern::kConstant;
   load.qps = qps;
   load.duration_wall_seconds = duration_seconds;
   load.seed = 1234;
@@ -525,25 +525,25 @@ NetLoopbackNumbers BenchNetLoopback(double qps, double duration_seconds,
   auto start = Clock::now();
   qsched::net::RemoteLoadGenerator loadgen("127.0.0.1", server.port(),
                                            load, &telemetry);
-  qsched::Status run = loadgen.Run();
+  qsched::Result<qsched::net::LoadReport> run = loadgen.Run();
   const double wall = Seconds(start);
   if (!run.ok()) {
     std::fprintf(stderr, "net_loopback: load run failed: %s\n",
-                 run.ToString().c_str());
+                 run.status().ToString().c_str());
   }
+  const qsched::net::LoadReport report =
+      run.ValueOr(qsched::net::LoadReport{});
   server.Stop();
   runtime.Shutdown(/*drain_timeout_wall_seconds=*/300.0);
 
   numbers.feed_seconds =
-      loadgen.feed_seconds() > 0.0 ? loadgen.feed_seconds() : wall;
-  numbers.drain_seconds = loadgen.drain_seconds();
-  numbers.offered = loadgen.offered();
-  numbers.accepted = loadgen.accepted();
-  numbers.rejected = loadgen.rejected_queue_full() +
-                     loadgen.rejected_shutting_down();
-  numbers.completed = loadgen.completed();
-  numbers.lost = loadgen.lost_completions() +
-                 loadgen.unmatched_completions();
+      report.feed_seconds > 0.0 ? report.feed_seconds : wall;
+  numbers.drain_seconds = report.drain_seconds;
+  numbers.offered = report.offered;
+  numbers.accepted = report.accepted;
+  numbers.rejected = report.rejected();
+  numbers.completed = report.completed;
+  numbers.lost = report.lost + report.unmatched;
   numbers.sustained_qps =
       numbers.feed_seconds > 0.0
           ? static_cast<double>(numbers.offered) / numbers.feed_seconds
@@ -680,11 +680,13 @@ ClusterLoopbackNumbers BenchClusterRouted(double qps,
   qsched::obs::Telemetry load_telemetry;
   qsched::net::RemoteLoadGenerator loadgen("127.0.0.1", front.port(), load,
                                            &load_telemetry);
-  qsched::Status run = loadgen.Run();
+  qsched::Result<qsched::net::LoadReport> run = loadgen.Run();
   if (!run.ok()) {
     std::fprintf(stderr, "cluster_loopback: load run failed: %s\n",
-                 run.ToString().c_str());
+                 run.status().ToString().c_str());
   }
+  const qsched::net::LoadReport report =
+      run.ValueOr(qsched::net::LoadReport{});
   front.Stop();
   router.Stop();
   for (BackendStack& stack : stacks) {
@@ -692,16 +694,13 @@ ClusterLoopbackNumbers BenchClusterRouted(double qps,
     stack.runtime->Shutdown(/*drain_timeout_wall_seconds=*/300.0);
   }
 
-  numbers.feed_seconds = loadgen.feed_seconds();
-  numbers.drain_seconds = loadgen.drain_seconds();
-  numbers.offered = loadgen.offered();
-  numbers.accepted = loadgen.accepted();
-  numbers.rejected = loadgen.rejected_queue_full() +
-                     loadgen.rejected_shutting_down() +
-                     loadgen.rejected_backend_unavailable();
-  numbers.completed = loadgen.completed();
-  numbers.lost =
-      loadgen.lost_completions() + loadgen.unmatched_completions();
+  numbers.feed_seconds = report.feed_seconds;
+  numbers.drain_seconds = report.drain_seconds;
+  numbers.offered = report.offered;
+  numbers.accepted = report.accepted;
+  numbers.rejected = report.rejected();
+  numbers.completed = report.completed;
+  numbers.lost = report.lost + report.unmatched;
   numbers.failovers = router.Accounting().failovers;
   numbers.sustained_qps =
       numbers.feed_seconds > 0.0
@@ -711,10 +710,7 @@ ClusterLoopbackNumbers BenchClusterRouted(double qps,
       load_telemetry.registry.GetHistogram("qsched_net_rtt_seconds");
   numbers.rtt_p50_seconds = rtt->Quantile(0.5);
   numbers.rtt_p99_seconds = rtt->Quantile(0.99);
-  numbers.conserved =
-      router.ConservationHolds() &&
-      numbers.offered == numbers.accepted + numbers.rejected &&
-      numbers.completed == numbers.accepted && numbers.lost == 0;
+  numbers.conserved = router.ConservationHolds() && report.conserved();
   return numbers;
 }
 

@@ -131,7 +131,13 @@ int RunRoute(const qsched::FlagParser& flags) {
           rec->Record(query);
         });
   }
-  router.Start();
+  qsched::Status routing = router.Start();
+  if (!routing.ok()) {
+    std::fprintf(stderr, "router start failed: %s\n",
+                 routing.ToString().c_str());
+    router.Stop();
+    return 1;
+  }
   const size_t usable = router.pool().WaitUsable(backends.size(), 2.0);
   std::printf("cluster route: %zu/%zu backends usable\n", usable,
               backends.size());

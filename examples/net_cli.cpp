@@ -280,7 +280,7 @@ int RunNetload(const qsched::FlagParser& flags) {
   const std::string pattern_name =
       flags.GetString("pattern", "constant");
   if (!qsched::rt::ArrivalPatternFromString(pattern_name,
-                                            &options.pattern)) {
+                                            &options.shape.pattern)) {
     std::fprintf(stderr, "unknown --pattern=%s\n", pattern_name.c_str());
     return 1;
   }
@@ -294,15 +294,17 @@ int RunNetload(const qsched::FlagParser& flags) {
       options.pipeline ? " (pipelined)" : "", options.qps,
       pattern_name.c_str(), options.duration_wall_seconds);
   const auto start = std::chrono::steady_clock::now();
-  qsched::Status run = loadgen.Run();
+  qsched::Result<qsched::net::LoadReport> run = loadgen.Run();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start)
           .count();
   if (!run.ok()) {
-    std::fprintf(stderr, "netload failed: %s\n", run.ToString().c_str());
+    std::fprintf(stderr, "netload failed: %s\n",
+                 run.status().ToString().c_str());
     return 1;
   }
+  const qsched::net::LoadReport& report = run.ValueOrDie();
 
   const int inject =
       static_cast<int>(flags.GetInt("inject-malformed", 0));
@@ -320,38 +322,30 @@ int RunNetload(const qsched::FlagParser& flags) {
 
   const qsched::obs::Histogram* rtt =
       telemetry.registry.GetHistogram("qsched_net_rtt_seconds");
-  const uint64_t rejected = loadgen.rejected_queue_full() +
-                            loadgen.rejected_shutting_down() +
-                            loadgen.rejected_backend_unavailable();
   // Sustained rate counts the feed phase only; the drain tail (waiting
   // out the last executions) is reported separately.
-  const double feed = loadgen.feed_seconds();
+  const double feed = report.feed_seconds;
   const double rate =
-      feed > 0.0 ? static_cast<double>(loadgen.offered()) / feed : 0.0;
+      feed > 0.0 ? static_cast<double>(report.offered) / feed : 0.0;
   std::printf(
       "NETLOAD seed=%llu offered=%llu accepted=%llu rejected=%llu "
       "completed=%llu lost=%llu unmatched=%llu wall=%.2f feed=%.2f "
       "drain=%.2f rate=%.1f rtt_p50_us=%.0f rtt_p99_us=%.0f\n",
       static_cast<unsigned long long>(options.seed),
-      static_cast<unsigned long long>(loadgen.offered()),
-      static_cast<unsigned long long>(loadgen.accepted()),
-      static_cast<unsigned long long>(rejected),
-      static_cast<unsigned long long>(loadgen.completed()),
-      static_cast<unsigned long long>(loadgen.lost_completions()),
-      static_cast<unsigned long long>(loadgen.unmatched_completions()),
-      wall, feed, loadgen.drain_seconds(), rate,
+      static_cast<unsigned long long>(report.offered),
+      static_cast<unsigned long long>(report.accepted),
+      static_cast<unsigned long long>(report.rejected()),
+      static_cast<unsigned long long>(report.completed),
+      static_cast<unsigned long long>(report.lost),
+      static_cast<unsigned long long>(report.unmatched),
+      wall, feed, report.drain_seconds, rate,
       rtt->Quantile(0.5) * 1e6, rtt->Quantile(0.99) * 1e6);
 
   MaybeWriteMetrics(flags, &telemetry);
 
   // Conservation: offered splits exactly into accepted + rejected, every
   // accepted query completed exactly once, nothing lost or duplicated.
-  const bool conserved =
-      loadgen.offered() == loadgen.accepted() + rejected &&
-      loadgen.completed() == loadgen.accepted() &&
-      loadgen.lost_completions() == 0 &&
-      loadgen.unmatched_completions() == 0;
-  if (!conserved) {
+  if (!report.conserved()) {
     std::fprintf(stderr, "CONSERVATION VIOLATION (see NETLOAD line)\n");
     return 2;
   }

@@ -197,13 +197,13 @@ int RunReplay(const qsched::FlagParser& flags) {
   std::printf("replaying %zu records to %s at %.2fx over %d connections\n",
               trace.records.size(), target.c_str(), options.speed,
               options.connections);
-  qsched::Result<qsched::replay::ReplayReport> ran = replayer.Run();
+  qsched::Result<qsched::net::LoadReport> ran = replayer.Run();
   if (!ran.ok()) {
     std::fprintf(stderr, "replay failed: %s\n",
                  ran.status().ToString().c_str());
     return 1;
   }
-  const qsched::replay::ReplayReport& report = ran.ValueOrDie();
+  const qsched::net::LoadReport& report = ran.ValueOrDie();
   const qsched::obs::Histogram* rtt =
       telemetry.registry.GetHistogram("qsched_replay_rtt_seconds");
   std::printf(

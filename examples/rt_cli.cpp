@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
   }
 
   qsched::rt::LoadGenOptions load;
-  load.pattern = pattern;
+  load.shape.pattern = pattern;
   load.qps = qps;
   load.duration_wall_seconds = duration;
   load.seed = seed;

@@ -64,35 +64,30 @@ BackendChannel::BackendChannel(const BackendAddress& address,
 
 BackendChannel::~BackendChannel() { Stop(); }
 
-void BackendChannel::Start() {
+Status BackendChannel::Start() {
   bool expected = false;
-  if (!started_.compare_exchange_strong(expected, true)) return;
-  int pipe_fds[2];
-  if (pipe(pipe_fds) == 0) {
-    wake_read_fd_ = pipe_fds[0];
-    wake_write_fd_ = pipe_fds[1];
-    net::SetNonBlocking(wake_read_fd_);
-    net::SetNonBlocking(wake_write_fd_);
+  if (!started_.compare_exchange_strong(expected, true)) return Status::OK();
+  Status opened = wake_.Open();
+  if (!opened.ok()) {
+    // Without a wakeup the thread would never see forwarded queries:
+    // stay down, so Forward rejects them instead.
+    std::lock_guard<std::mutex> lock(cmd_mu_);
+    stop_requested_ = true;
+    return opened;
   }
   // First connect attempt is due immediately.
   next_connect_attempt_ = SteadyClock::now();
   thread_ = std::thread([this] { ThreadLoop(); });
+  return Status::OK();
 }
 
 void BackendChannel::Stop() {
   {
     std::lock_guard<std::mutex> lock(cmd_mu_);
     stop_requested_ = true;
-    if (wake_write_fd_ >= 0) {
-      char byte = 1;
-      ssize_t ignored = write(wake_write_fd_, &byte, 1);
-      (void)ignored;
-    }
+    wake_.Notify();
   }
   if (thread_.joinable()) thread_.join();
-  if (wake_read_fd_ >= 0) close(wake_read_fd_);
-  if (wake_write_fd_ >= 0) close(wake_write_fd_);
-  wake_read_fd_ = wake_write_fd_ = -1;
 }
 
 void BackendChannel::Forward(RoutedQuery item) {
@@ -104,11 +99,7 @@ void BackendChannel::Forward(RoutedQuery item) {
       // lands on one backend before its channel thread runs once.
       in_flight_.fetch_add(1);
       incoming_.push_back(std::move(item));
-      if (wake_write_fd_ >= 0) {
-        char byte = 1;
-        ssize_t ignored = write(wake_write_fd_, &byte, 1);
-        (void)ignored;
-      }
+      wake_.Notify();
       return;
     }
   }
@@ -190,7 +181,7 @@ void BackendChannel::ThreadLoop() {
 
     pollfd fds[2];
     nfds_t nfds = 0;
-    fds[nfds++] = {wake_read_fd_, POLLIN, 0};
+    fds[nfds++] = {wake_.fd(), POLLIN, 0};
     if (conn_) {
       short events = POLLIN;
       if (conn_->wants_write()) events |= POLLOUT;
@@ -198,11 +189,7 @@ void BackendChannel::ThreadLoop() {
     }
     poll(fds, nfds, poll_ms);
 
-    if (fds[0].revents & POLLIN) {
-      char buf[256];
-      while (read(wake_read_fd_, buf, sizeof(buf)) > 0) {
-      }
-    }
+    if (fds[0].revents & POLLIN) wake_.Drain();
     // A writable socket needs nothing here: the next turn flushes.
     if (nfds > 1 && conn_ &&
         (fds[1].revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL))) {

@@ -16,6 +16,8 @@
 
 #include "cluster/backend.h"
 #include "common/rng.h"
+#include "common/status.h"
+#include "common/wake_pipe.h"
 #include "net/connection.h"
 #include "net/frame.h"
 #include "obs/telemetry.h"
@@ -63,7 +65,9 @@ class BackendChannel {
   BackendChannel& operator=(const BackendChannel&) = delete;
 
   /// Spawns the channel thread (which immediately starts connecting).
-  void Start();
+  /// Fails when the wakeup pipe cannot be created; the channel then
+  /// stays down and Forward rejects with kBackendUnavailable.
+  Status Start();
 
   /// Stops the thread. Pending unaccepted queries are rejected with
   /// kBackendUnavailable; accepted ones get cancelled completions.
@@ -135,8 +139,7 @@ class BackendChannel {
   std::mutex cmd_mu_;
   std::deque<RoutedQuery> incoming_;
   bool stop_requested_ = false;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
+  WakePipe wake_;
 
   std::thread thread_;
   std::atomic<bool> started_{false};

@@ -22,8 +22,13 @@ BackendPool::BackendPool(const std::vector<BackendAddress>& addresses,
   }
 }
 
-void BackendPool::Start() {
-  for (auto& channel : channels_) channel->Start();
+Status BackendPool::Start() {
+  Status first = Status::OK();
+  for (auto& channel : channels_) {
+    Status started = channel->Start();
+    if (first.ok()) first = started;
+  }
+  return first;
 }
 
 void BackendPool::Stop() {

@@ -26,7 +26,9 @@ class BackendPool {
   BackendPool(const BackendPool&) = delete;
   BackendPool& operator=(const BackendPool&) = delete;
 
-  void Start();
+  /// Starts every channel; returns the first channel's failure (that
+  /// channel stays down, the others run).
+  Status Start();
   void Stop();
 
   /// Picks the best usable backend for `class_id`, skipping `exclude`

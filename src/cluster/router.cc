@@ -29,10 +29,10 @@ Router::Router(const std::vector<BackendAddress>& backends,
 
 Router::~Router() { Stop(); }
 
-void Router::Start() {
+Status Router::Start() {
   bool expected = false;
-  if (!started_.compare_exchange_strong(expected, true)) return;
-  pool_->Start();
+  if (!started_.compare_exchange_strong(expected, true)) return Status::OK();
+  return pool_->Start();
 }
 
 void Router::Stop() {

@@ -68,7 +68,8 @@ class Router : public net::QueryService {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  void Start();
+  /// Starts the backend channels; see BackendPool::Start.
+  Status Start();
 
   /// Stops routing. Call AFTER the front net::Server has stopped (its
   /// drain needs the channels alive to relay verdicts). Remaining

@@ -7,18 +7,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <memory>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/rng.h"
 #include "common/strings.h"
-#include "workload/tpcc_workload.h"
-#include "workload/tpch_workload.h"
 
 namespace qsched::net {
 
@@ -211,16 +208,21 @@ Status Client::WaitUntil(const std::function<bool()>& done,
                                               std::strerror(conn_.error())));
     }
     // Wait for bytes (or for room to write), bounded by what remains of
-    // the timeout; a zero timeout still takes one nonblocking look.
-    int poll_ms = -1;
+    // the timeout at nanosecond resolution; a zero timeout still takes
+    // one nonblocking look.
+    timespec limit{};
     if (timeout_seconds >= 0.0) {
-      const double remaining = timeout_seconds - SecondsSince(t0);
+      const double remaining =
+          std::max(0.0, timeout_seconds - SecondsSince(t0));
       if (remaining <= 0.0 && polled) return Status::OK();
-      poll_ms = remaining <= 0.0 ? 0 : static_cast<int>(remaining * 1000.0) + 1;
+      limit.tv_sec = static_cast<time_t>(remaining);
+      limit.tv_nsec = static_cast<long>(
+          (remaining - static_cast<double>(limit.tv_sec)) * 1e9);
     }
     pollfd pfd{conn_.fd(), POLLIN, 0};
     if (conn_.wants_write()) pfd.events |= POLLOUT;
-    const int rc = poll(&pfd, 1, poll_ms);
+    const int rc =
+        ppoll(&pfd, 1, timeout_seconds >= 0.0 ? &limit : nullptr, nullptr);
     polled = true;
     if (rc < 0 && errno != EINTR) {
       return Status::Internal(StrPrintf("poll: %s", std::strerror(errno)));
@@ -341,13 +343,24 @@ Status Client::Drain() {
 // RemoteLoadGenerator
 // ---------------------------------------------------------------------------
 
-RemoteLoadGenerator::RemoteLoadGenerator(std::string host, uint16_t port,
-                                         const RemoteLoadOptions& options,
-                                         obs::Telemetry* telemetry)
-    : host_(std::move(host)),
-      port_(port),
-      options_(options),
-      telemetry_(telemetry) {
+namespace {
+
+workload::TpchWorkloadParams TpchAtScale(double scale_factor) {
+  workload::TpchWorkloadParams params;
+  params.scale_factor = scale_factor;
+  return params;
+}
+
+}  // namespace
+
+SyntheticSource::SyntheticSource(const RemoteLoadOptions& options,
+                                 int connection)
+    : options_(options),
+      connection_(connection),
+      seed_(options.seed + static_cast<uint64_t>(connection) * 7919),
+      olap_(TpchAtScale(options.tpch_scale_factor), seed_),
+      oltp_(workload::TpccWorkloadParams{}, seed_ + 1),
+      rng_(seed_, 0x9e3779b97f4a7c15ULL) {
   if (options_.mix.empty()) {
     // The paper's mix: two OLAP service classes and the OLTP class, with
     // OLTP dominating the arrival count (Section V).
@@ -355,275 +368,51 @@ RemoteLoadGenerator::RemoteLoadGenerator(std::string host, uint16_t port,
                     {2, 3.0, workload::WorkloadType::kOlap},
                     {3, 94.0, workload::WorkloadType::kOltp}};
   }
-  if (telemetry_ != nullptr) {
-    auto& reg = telemetry_->registry;
-    rtt_hist_ = reg.GetHistogram("qsched_net_rtt_seconds");
-    offered_counter_ = reg.GetCounter("qsched_net_client_offered_total");
-    completed_counter_ =
-        reg.GetCounter("qsched_net_client_completed_total");
-  }
-}
-
-Status RemoteLoadGenerator::Run() {
-  const int n = options_.connections > 0 ? options_.connections : 1;
-  std::vector<std::thread> threads;
-  std::vector<Status> statuses(static_cast<size_t>(n));
-  threads.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    threads.emplace_back(
-        [this, i, &statuses] { statuses[static_cast<size_t>(i)] = RunConnection(i); });
-  }
-  for (auto& t : threads) t.join();
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
-}
-
-Status RemoteLoadGenerator::RunConnection(int index) {
-  Result<std::unique_ptr<Client>> connected = Client::Connect(host_, port_);
-  if (!connected.ok()) return connected.status();
-  std::unique_ptr<Client> client = std::move(connected).ValueOrDie();
-
-  // Per-connection generators, independently seeded so connections do not
-  // replay each other's draw sequences.
-  const uint64_t seed = options_.seed + static_cast<uint64_t>(index) * 7919;
-  workload::TpchWorkloadParams tpch_params;
-  tpch_params.scale_factor = options_.tpch_scale_factor;
-  workload::TpchWorkload olap(tpch_params, seed);
-  workload::TpccWorkload oltp(workload::TpccWorkloadParams{}, seed + 1);
-  Rng rng(seed, 0x9e3779b97f4a7c15ULL);
-
-  std::vector<double> weights;
-  weights.reserve(options_.mix.size());
   for (const RemoteMixEntry& entry : options_.mix) {
-    weights.push_back(entry.weight);
+    weights_.push_back(entry.weight);
   }
-
-  // Reuse the in-process generator's rate envelope so --pattern shapes the
-  // remote load the same way it shapes rt::LoadGenerator.
-  rt::LoadGenOptions envelope;
-  envelope.pattern = options_.pattern;
-  envelope.burst_period_seconds = options_.burst_period_seconds;
-  envelope.burst_duty = options_.burst_duty;
-  envelope.burst_factor = options_.burst_factor;
-  envelope.diurnal_period_seconds = options_.diurnal_period_seconds;
-  envelope.diurnal_amplitude = options_.diurnal_amplitude;
-
-  const double per_conn_qps =
-      options_.qps / static_cast<double>(options_.connections > 0
-                                             ? options_.connections
-                                             : 1);
-  const SteadyClock::time_point start = SteadyClock::now();
-  SteadyClock::time_point next_arrival = start;
-  uint64_t submitted = 0;
-
-  // request_id -> submit wall time, for RTT + conservation accounting.
-  std::unordered_map<uint64_t, SteadyClock::time_point> pending;
-
-  auto absorb = [&](const ClientCompletion& completion) {
-    auto it = pending.find(completion.request_id);
-    if (it == pending.end()) {
-      unmatched_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    const double rtt =
-        std::chrono::duration<double>(SteadyClock::now() - it->second)
-            .count();
-    pending.erase(it);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    if (completed_counter_ != nullptr) completed_counter_->Inc();
-    if (rtt_hist_ != nullptr) rtt_hist_->Record(rtt);
-  };
-
-  auto draw_query = [&]() {
-    const size_t pick = rng.Categorical(weights);
-    const RemoteMixEntry& entry = options_.mix[pick];
-    workload::Query query =
-        entry.type == workload::WorkloadType::kOlap ? olap.Next()
-                                                    : oltp.Next();
-    query.class_id = entry.class_id;
-    query.client_id =
-        index * options_.num_clients +
-        static_cast<int>(submitted % static_cast<uint64_t>(
-                                         options_.num_clients > 0
-                                             ? options_.num_clients
-                                             : 1));
-    ++submitted;
-    return query;
-  };
-
-  auto schedule_next_arrival = [&]() {
-    // From the pattern's current rate; an overloaded client falls
-    // behind, so do not let the backlog of arrivals explode unboundedly.
-    const double rate = per_conn_qps * rt::LoadGenerator::RateFactorAt(
-                                           SecondsSince(start), envelope);
-    const double dt = rate > 0.0 ? rng.Exponential(1.0 / rate) : 0.010;
-    next_arrival += std::chrono::duration_cast<SteadyClock::duration>(
-        std::chrono::duration<double>(dt));
-    const SteadyClock::time_point now = SteadyClock::now();
-    if (next_arrival < now) next_arrival = now;
-  };
-
-  // In pipeline mode a query is counted pending at SubmitNoWait time; a
-  // later REJECTED verdict takes it back out. In blocking mode verdicts
-  // arrive inline and this sees only its own entries.
-  auto process_verdict = [&](const Client::SubmitResult& sr) {
-    if (sr.accepted) {
-      accepted_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      pending.erase(sr.request_id);
-      if (sr.reject_reason == rt::RejectReason::kShuttingDown) {
-        rejected_shutting_down_.fetch_add(1, std::memory_order_relaxed);
-      } else if (sr.reject_reason ==
-                 rt::RejectReason::kBackendUnavailable) {
-        rejected_backend_unavailable_.fetch_add(1,
-                                                std::memory_order_relaxed);
-      } else {
-        rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  };
-  auto drain_verdicts = [&]() {
-    Client::SubmitResult sr;
-    while (client->PopVerdict(&sr)) process_verdict(sr);
-  };
-
-  if (options_.pipeline) {
-    const size_t depth_limit = static_cast<size_t>(
-        options_.max_outstanding > 0 ? options_.max_outstanding : 128);
-    while (SecondsSince(start) < options_.duration_wall_seconds) {
-      // Wait out the gap to the next arrival, absorbing whatever the
-      // server sends meanwhile.
-      while (true) {
-        const double wait = std::chrono::duration<double>(
-                                next_arrival - SteadyClock::now())
-                                .count();
-        Result<Client::PolledCompletion> polled =
-            client->PollCompletion(wait > 0.0 ? wait : 0.0);
-        if (!polled.ok()) return polled.status();
-        drain_verdicts();
-        if (polled.ValueOrDie().found) {
-          absorb(polled.ValueOrDie().completion);
-          continue;
-        }
-        break;  // Timed out: the arrival is due (or overdue).
-      }
-
-      // Queue every due arrival; one Flush() then carries the whole
-      // burst in a single send(). This is what lets offered throughput
-      // exceed connections/RTT.
-      size_t batched = 0;
-      while (SteadyClock::now() >= next_arrival &&
-             SecondsSince(start) < options_.duration_wall_seconds) {
-        // Backpressure: bound the per-connection pipeline depth.
-        while (client->outstanding() + client->verdicts_pending() >=
-               depth_limit) {
-          QSCHED_RETURN_NOT_OK(client->Flush());
-          Result<Client::PolledCompletion> polled =
-              client->PollCompletion(0.050);
-          if (!polled.ok()) return polled.status();
-          drain_verdicts();
-          if (polled.ValueOrDie().found) {
-            absorb(polled.ValueOrDie().completion);
-          }
-        }
-        workload::Query query = draw_query();
-        offered_.fetch_add(1, std::memory_order_relaxed);
-        if (offered_counter_ != nullptr) offered_counter_->Inc();
-        Result<uint64_t> rid = client->SubmitNoWait(query);
-        if (!rid.ok()) return rid.status();
-        pending.emplace(rid.ValueOrDie(), SteadyClock::now());
-        ++batched;
-        schedule_next_arrival();
-      }
-      if (batched > 0) QSCHED_RETURN_NOT_OK(client->Flush());
-
-      // Absorb whatever already came back, without blocking.
-      while (true) {
-        Result<Client::PolledCompletion> polled =
-            client->PollCompletion(0.0);
-        if (!polled.ok()) return polled.status();
-        drain_verdicts();
-        if (!polled.ValueOrDie().found) break;
-        absorb(polled.ValueOrDie().completion);
-      }
-    }
-
-    // Resolve every still-owed verdict before draining, so rejected
-    // queries are out of `pending` and accepted ones are counted.
-    QSCHED_RETURN_NOT_OK(client->Flush());
-    while (client->verdicts_pending() > 0) {
-      Result<Client::SubmitResult> verdict = client->NextVerdict();
-      if (!verdict.ok()) return verdict.status();
-      process_verdict(verdict.ValueOrDie());
-    }
-  } else {
-    while (SecondsSince(start) < options_.duration_wall_seconds) {
-      // Drain any completions that arrived, then wait out the gap to the
-      // next arrival doing the same.
-      while (true) {
-        const double wait = std::chrono::duration<double>(
-                                next_arrival - SteadyClock::now())
-                                .count();
-        Result<Client::PolledCompletion> polled =
-            client->PollCompletion(wait > 0.0 ? wait : 0.0);
-        if (!polled.ok()) return polled.status();
-        if (polled.ValueOrDie().found) {
-          absorb(polled.ValueOrDie().completion);
-          continue;
-        }
-        break;  // Timed out: the arrival is due (or overdue).
-      }
-      if (SteadyClock::now() < next_arrival) continue;
-
-      // Draw and submit one query, blocking for its verdict.
-      workload::Query query = draw_query();
-      offered_.fetch_add(1, std::memory_order_relaxed);
-      if (offered_counter_ != nullptr) offered_counter_->Inc();
-      const SteadyClock::time_point sent_at = SteadyClock::now();
-      Result<Client::SubmitResult> verdict = client->Submit(query);
-      if (!verdict.ok()) return verdict.status();
-      const Client::SubmitResult& sr = verdict.ValueOrDie();
-      if (sr.accepted) pending.emplace(sr.request_id, sent_at);
-      process_verdict(sr);
-      schedule_next_arrival();
-    }
-  }
-  const SteadyClock::time_point feed_end = SteadyClock::now();
-
-  // Drain: collect every outstanding completion, then reconcile.
-  Status drained = client->Drain();
-  if (!drained.ok()) return drained;
-  while (true) {
-    Result<Client::PolledCompletion> polled = client->PollCompletion(0.0);
-    if (!polled.ok()) return polled.status();
-    if (!polled.ValueOrDie().found) break;
-    absorb(polled.ValueOrDie().completion);
-  }
-  drain_verdicts();
-  lost_.fetch_add(pending.size(), std::memory_order_relaxed);
-
-  const double feed_s =
-      std::chrono::duration<double>(feed_end - start).count();
-  const double drain_s =
-      std::chrono::duration<double>(SteadyClock::now() - feed_end).count();
-  {
-    std::lock_guard<std::mutex> lock(phase_mu_);
-    if (feed_s > feed_seconds_) feed_seconds_ = feed_s;
-    if (drain_s > drain_seconds_) drain_seconds_ = drain_s;
-  }
-  return Status::OK();
 }
 
-double RemoteLoadGenerator::feed_seconds() const {
-  std::lock_guard<std::mutex> lock(phase_mu_);
-  return feed_seconds_;
+bool SyntheticSource::Next(double* due_seconds, workload::Query* query) {
+  if (due_seconds_ >= options_.duration_wall_seconds) return false;
+  const RemoteMixEntry& entry = options_.mix[rng_.Categorical(weights_)];
+  *query = entry.type == workload::WorkloadType::kOlap ? olap_.Next()
+                                                       : oltp_.Next();
+  query->class_id = entry.class_id;
+  query->client_id =
+      connection_ * options_.num_clients +
+      static_cast<int>(drawn_++ % static_cast<uint64_t>(
+                                      std::max(options_.num_clients, 1)));
+  *due_seconds = due_seconds_;
+  due_seconds_ += options_.shape.NextGap(
+      due_seconds_,
+      options_.qps / static_cast<double>(std::max(options_.connections, 1)),
+      &rng_);
+  return true;
 }
 
-double RemoteLoadGenerator::drain_seconds() const {
-  std::lock_guard<std::mutex> lock(phase_mu_);
-  return drain_seconds_;
+RemoteLoadGenerator::RemoteLoadGenerator(std::string host, uint16_t port,
+                                         const RemoteLoadOptions& options,
+                                         obs::Telemetry* telemetry)
+    : options_(options) {
+  driver_.host = std::move(host);
+  driver_.port = port;
+  driver_.connections = options.connections;
+  driver_.pipeline = options.pipeline;
+  driver_.max_outstanding = options.max_outstanding;
+  driver_.feed_deadline_seconds = options.duration_wall_seconds;
+  if (telemetry != nullptr) {
+    obs::Registry& reg = telemetry->registry;
+    driver_.rtt = reg.GetHistogram("qsched_net_rtt_seconds");
+    driver_.offered = reg.GetCounter("qsched_net_client_offered_total");
+    driver_.completed = reg.GetCounter("qsched_net_client_completed_total");
+  }
+}
+
+Result<LoadReport> RemoteLoadGenerator::Run() {
+  return DriveWire(driver_, [this](int index) {
+    return std::make_unique<SyntheticSource>(options_, index);
+  });
 }
 
 // ---------------------------------------------------------------------------

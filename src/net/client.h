@@ -1,23 +1,24 @@
 #ifndef QSCHED_NET_CLIENT_H_
 #define QSCHED_NET_CLIENT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "net/connection.h"
 #include "net/frame.h"
+#include "net/wire_driver.h"
 #include "obs/telemetry.h"
 #include "rt/loadgen.h"
 #include "workload/query.h"
+#include "workload/tpcc_workload.h"
+#include "workload/tpch_workload.h"
 
 namespace qsched::net {
 
@@ -128,8 +129,6 @@ class Client {
 
   /// Accepted-but-not-yet-completed queries on this connection.
   size_t outstanding() const { return outstanding_; }
-  /// Completions received and buffered but not yet handed out.
-  size_t buffered_completions() const { return completions_.size(); }
   /// Pipelined submits whose verdict has not been handed out yet
   /// (awaiting wire + buffered).
   size_t verdicts_pending() const {
@@ -187,34 +186,52 @@ struct RemoteLoadOptions {
   double qps = 1000.0;
   double duration_wall_seconds = 2.0;
   uint64_t seed = 42;
-  rt::ArrivalPattern pattern = rt::ArrivalPattern::kConstant;
-  /// Pattern shape knobs, as in rt::LoadGenOptions.
-  double burst_period_seconds = 0.5;
-  double burst_duty = 0.3;
-  double burst_factor = 4.0;
-  double diurnal_period_seconds = 2.0;
-  double diurnal_amplitude = 0.8;
+  /// Rate pattern, as in rt::LoadGenOptions.
+  rt::ArrivalShape shape;
   /// Synthetic client ids are spread over this many ids per connection.
   int num_clients = 16;
   /// TPC-H scale for the OLAP entries' generators.
   double tpch_scale_factor = 0.1;
   /// Class mix; empty = the paper's 1:3 / 2:3 / 3:94 default.
   std::vector<RemoteMixEntry> mix;
-  /// Pipelined submission: queue SUBMITs via SubmitNoWait and batch
-  /// them onto the wire instead of blocking for each verdict. Offered
+  /// Pipelined submission (see WireDriverOptions::pipeline): offered
   /// throughput then scales with the server, not with 1/RTT.
   bool pipeline = false;
-  /// Pipeline depth bound per connection (accepted-but-not-completed +
-  /// verdicts in flight); submission backpressures above it.
+  /// Pipeline depth bound per connection.
   int max_outstanding = 128;
 };
 
-/// Multi-connection remote load generator: each connection gets its own
-/// thread, generators (seeded seed + index) and open-loop Poisson
-/// arrival process at qps/connections; at the end every connection
-/// DRAINs and reconciles its completions. The on-wire round-trip of
-/// every completed query (submit to COMPLETED arrival, wall seconds)
-/// lands in the `qsched_net_rtt_seconds` histogram.
+/// One connection's arrivals for RemoteLoadGenerator, a pure function of
+/// (options, connection). With seed = options.seed + 7919 * connection,
+/// each arrival draws, in this order: the mix entry (Categorical on
+/// Rng(seed, 0x9e3779b97f4a7c15)), its query from the family generator
+/// (TPC-H seeded `seed`, TPC-C `seed + 1`), then the Poisson gap to the
+/// next arrival (ArrivalShape::NextGap at this arrival's due time, at
+/// qps / connections, on the same Rng). The first arrival is due at 0;
+/// none is due at or after duration_wall_seconds. Client ids cycle over
+/// num_clients ids from connection * num_clients.
+class SyntheticSource : public ArrivalSource {
+ public:
+  SyntheticSource(const RemoteLoadOptions& options, int connection);
+
+  bool Next(double* due_seconds, workload::Query* query) override;
+
+ private:
+  RemoteLoadOptions options_;
+  int connection_;
+  uint64_t seed_;
+  std::vector<double> weights_;
+  workload::TpchWorkload olap_;
+  workload::TpccWorkload oltp_;
+  Rng rng_;
+  double due_seconds_ = 0.0;
+  uint64_t drawn_ = 0;
+};
+
+/// Multi-connection remote load generator: SyntheticSource arrivals run
+/// on the wire driver (DriveWire), one thread per connection. Every
+/// completed query's round trip lands in `qsched_net_rtt_seconds`, live
+/// counts in `qsched_net_client_{offered,completed}_total`.
 class RemoteLoadGenerator {
  public:
   RemoteLoadGenerator(std::string host, uint16_t port,
@@ -225,61 +242,12 @@ class RemoteLoadGenerator {
   RemoteLoadGenerator& operator=(const RemoteLoadGenerator&) = delete;
 
   /// Runs the full generation + drain phase, blocking. Returns the first
-  /// connection-level error, or OK; per-query rejections are not errors.
-  Status Run();
-
-  // Totals across connections (valid after Run; atomics, so mid-run
-  // reads from another thread see a consistent monotonic view).
-  uint64_t offered() const { return offered_; }
-  uint64_t accepted() const { return accepted_; }
-  uint64_t rejected_queue_full() const { return rejected_queue_full_; }
-  uint64_t rejected_shutting_down() const {
-    return rejected_shutting_down_;
-  }
-  /// REJECTED{BACKEND_UNAVAILABLE} verdicts — only a cluster router
-  /// emits these; a direct backend always stays 0.
-  uint64_t rejected_backend_unavailable() const {
-    return rejected_backend_unavailable_;
-  }
-  uint64_t completed() const { return completed_; }
-  /// Completions that did not match an outstanding accepted request
-  /// (duplicates or unknown ids) — must stay 0.
-  uint64_t unmatched_completions() const { return unmatched_; }
-  /// Accepted queries that never got a COMPLETED — must end 0.
-  uint64_t lost_completions() const { return lost_; }
-
-  /// Wall seconds of the arrival (feed) phase and of the trailing drain
-  /// phase, maxed over connections. Valid after Run(). Sustained
-  /// throughput is offered()/feed_seconds() — the drain tail (waiting
-  /// out the last OLAP executions) is not offered load and is reported
-  /// separately.
-  double feed_seconds() const;
-  double drain_seconds() const;
+  /// connection-level error or the report.
+  Result<LoadReport> Run();
 
  private:
-  Status RunConnection(int index);
-
-  std::string host_;
-  uint16_t port_;
   RemoteLoadOptions options_;
-  obs::Telemetry* telemetry_;
-
-  std::atomic<uint64_t> offered_{0};
-  std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> rejected_queue_full_{0};
-  std::atomic<uint64_t> rejected_shutting_down_{0};
-  std::atomic<uint64_t> rejected_backend_unavailable_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> unmatched_{0};
-  std::atomic<uint64_t> lost_{0};
-
-  mutable std::mutex phase_mu_;
-  double feed_seconds_ = 0.0;
-  double drain_seconds_ = 0.0;
-
-  obs::Histogram* rtt_hist_ = nullptr;
-  obs::Counter* offered_counter_ = nullptr;
-  obs::Counter* completed_counter_ = nullptr;
+  WireDriverOptions driver_;
 };
 
 /// Adversarial probe for the protocol-hardening acceptance criterion:

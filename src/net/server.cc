@@ -20,24 +20,14 @@ void Server::Mailbox::Post(PendingCompletion completion) {
   std::lock_guard<std::mutex> lock(mu);
   if (closed) return;  // server gone; the service still accounted it
   items.push_back(completion);
-  if (wakeup_fd >= 0) {
-    // One byte is enough to make poll() return; a full pipe already
-    // guarantees a pending wakeup, so EAGAIN is fine.
-    char byte = 1;
-    ssize_t ignored = write(wakeup_fd, &byte, 1);
-    (void)ignored;
-  }
+  if (wake != nullptr) wake->Notify();
 }
 
 void Server::Mailbox::PostVerdict(PendingVerdict verdict) {
   std::lock_guard<std::mutex> lock(mu);
   if (closed) return;
   verdicts.push_back(verdict);
-  if (wakeup_fd >= 0) {
-    char byte = 1;
-    ssize_t ignored = write(wakeup_fd, &byte, 1);
-    (void)ignored;
-  }
+  if (wake != nullptr) wake->Notify();
 }
 
 Server::Server(rt::Gateway* gateway, const ServerOptions& options,
@@ -133,25 +123,16 @@ Status Server::Start() {
     auto reactor = std::make_unique<Reactor>();
     reactor->index = i;
     reactor->mailbox = std::make_shared<Mailbox>();
-    int pipe_fds[2];
-    if (pipe(pipe_fds) < 0) {
-      Status status = Status::Internal(StrPrintf("pipe: %s", strerror(errno)));
-      for (auto& created : reactors_) {
-        close(created->wake_read_fd);
-        close(created->wake_write_fd);
-      }
+    Status opened = reactor->wake.Open();
+    if (!opened.ok()) {
       reactors_.clear();
       close(listen_fd_);
       listen_fd_ = -1;
-      return status;
+      return opened;
     }
-    reactor->wake_read_fd = pipe_fds[0];
-    reactor->wake_write_fd = pipe_fds[1];
-    SetNonBlocking(reactor->wake_read_fd);
-    SetNonBlocking(reactor->wake_write_fd);
     {
       std::lock_guard<std::mutex> lock(reactor->mailbox->mu);
-      reactor->mailbox->wakeup_fd = reactor->wake_write_fd;
+      reactor->mailbox->wake = &reactor->wake;
     }
     reactors_.push_back(std::move(reactor));
   }
@@ -198,11 +179,8 @@ void Server::Stop() {
     {
       std::lock_guard<std::mutex> lock(reactor->mailbox->mu);
       reactor->mailbox->closed = true;
-      reactor->mailbox->wakeup_fd = -1;
+      reactor->mailbox->wake = nullptr;
     }
-    if (reactor->wake_read_fd >= 0) close(reactor->wake_read_fd);
-    if (reactor->wake_write_fd >= 0) close(reactor->wake_write_fd);
-    reactor->wake_read_fd = reactor->wake_write_fd = -1;
   }
   if (listen_fd_ >= 0) close(listen_fd_);
   listen_fd_ = -1;
@@ -210,12 +188,7 @@ void Server::Stop() {
 
 void Server::WakeupAll() {
   for (auto& reactor : reactors_) {
-    std::lock_guard<std::mutex> lock(reactor->mailbox->mu);
-    if (reactor->mailbox->wakeup_fd >= 0) {
-      char byte = 1;
-      ssize_t ignored = write(reactor->mailbox->wakeup_fd, &byte, 1);
-      (void)ignored;
-    }
+    reactor->wake.Notify();
   }
 }
 
@@ -254,7 +227,7 @@ void Server::ReactorLoop(Reactor* reactor) {
       fds.push_back({listen_fd_, POLLIN, 0});
       fd_conn.push_back(0);
     }
-    fds.push_back({reactor->wake_read_fd, POLLIN, 0});
+    fds.push_back({reactor->wake.fd(), POLLIN, 0});
     fd_conn.push_back(0);
     for (const auto& [id, conn] : reactor->conns) {
       short events = 0;
@@ -270,10 +243,8 @@ void Server::ReactorLoop(Reactor* reactor) {
 
     for (size_t i = 0; i < fds.size(); ++i) {
       if (fds[i].revents == 0) continue;
-      if (fds[i].fd == reactor->wake_read_fd) {
-        char buf[256];
-        while (read(reactor->wake_read_fd, buf, sizeof(buf)) > 0) {
-        }
+      if (fds[i].fd == reactor->wake.fd()) {
+        reactor->wake.Drain();
         continue;
       }
       if (acceptor && fds[i].fd == listen_fd_) {
@@ -378,9 +349,7 @@ void Server::AcceptNew(Reactor* reactor) {
         std::lock_guard<std::mutex> lock(target->handoff_mu);
         target->handoff.emplace_back(id, fd);
       }
-      char byte = 1;
-      ssize_t ignored = write(target->wake_write_fd, &byte, 1);
-      (void)ignored;
+      target->wake.Notify();
     }
   }
 }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/wake_pipe.h"
 #include "net/connection.h"
 #include "net/frame.h"
 #include "net/service.h"
@@ -154,15 +155,15 @@ class Server {
   };
 
   /// A reactor's mailbox, shared with in-flight callbacks (see class
-  /// comment). `wakeup_fd` is that reactor's pipe write end; -1 once
-  /// closed. Verdicts and completions share the mutex, so posting order
-  /// (a service fires the verdict strictly before the completion) is
+  /// comment). `wake` is that reactor's wakeup pipe; null once closed.
+  /// Verdicts and completions share the mutex, so posting order (a
+  /// service fires the verdict strictly before the completion) is
   /// preserved across the swap in DrainMailbox.
   struct Mailbox {
     std::mutex mu;
     std::vector<PendingCompletion> items;
     std::vector<PendingVerdict> verdicts;
-    int wakeup_fd = -1;
+    const WakePipe* wake = nullptr;
     bool closed = false;
 
     void Post(PendingCompletion completion);
@@ -203,8 +204,7 @@ class Server {
   /// server-level atomics.
   struct Reactor {
     int index = 0;
-    int wake_read_fd = -1;
-    int wake_write_fd = -1;
+    WakePipe wake;
     std::shared_ptr<Mailbox> mailbox;
     std::thread thread;
 

@@ -114,16 +114,12 @@ Status HttpServer::Start() {
     return status;
   }
 
-  int pipe_fds[2];
-  if (pipe(pipe_fds) < 0) {
+  Status opened = wake_.Open();
+  if (!opened.ok()) {
     close(listen_fd_);
     listen_fd_ = -1;
-    return Status::Internal(StrPrintf("pipe: %s", strerror(errno)));
+    return opened;
   }
-  wake_read_fd_ = pipe_fds[0];
-  wake_write_fd_ = pipe_fds[1];
-  SetNonBlocking(wake_read_fd_);
-  SetNonBlocking(wake_write_fd_);
 
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
@@ -140,23 +136,15 @@ void HttpServer::Stop() {
     stopped_ = true;
   }
   stop_requested_.store(true);
-  if (wake_write_fd_ >= 0) {
-    char byte = 1;
-    ssize_t ignored = write(wake_write_fd_, &byte, 1);
-    (void)ignored;
-  }
+  wake_.Notify();
   if (thread_.joinable()) thread_.join();
-  if (wake_write_fd_ >= 0) close(wake_write_fd_);
-  if (wake_read_fd_ >= 0) close(wake_read_fd_);
-  wake_write_fd_ = -1;
-  wake_read_fd_ = -1;
 }
 
 void HttpServer::ServerLoop() {
   while (!stop_requested_.load()) {
     std::vector<pollfd> fds;
     fds.push_back({listen_fd_, POLLIN, 0});
-    fds.push_back({wake_read_fd_, POLLIN, 0});
+    fds.push_back({wake_.fd(), POLLIN, 0});
     for (const Connection& conn : conns_) {
       short events = conn.responding ? POLLOUT : POLLIN;
       fds.push_back({conn.fd, events, 0});
@@ -166,11 +154,7 @@ void HttpServer::ServerLoop() {
     if (stop_requested_.load()) break;
     if (ready <= 0) continue;
 
-    if (fds[1].revents & POLLIN) {
-      char drain[64];
-      while (read(wake_read_fd_, drain, sizeof(drain)) > 0) {
-      }
-    }
+    if (fds[1].revents & POLLIN) wake_.Drain();
     // Only the first `polled` connections have a pollfd this round;
     // AcceptNew appends past them, and those get polled next iteration.
     size_t polled = fds.size() - 2;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/wake_pipe.h"
 
 namespace qsched::obs {
 
@@ -101,8 +102,7 @@ class HttpServer {
   HttpServerOptions options_;
 
   int listen_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
+  WakePipe wake_;
   uint16_t port_ = 0;
   std::thread thread_;
 

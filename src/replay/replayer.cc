@@ -1,236 +1,70 @@
 #include "replay/replayer.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
-#include <unordered_map>
-#include <vector>
-
-#include "net/client.h"
-#include "replay/template_codec.h"
+#include <memory>
 
 namespace qsched::replay {
 
-namespace {
+std::vector<const TraceRecord*> ArrivalOrder(const TraceReadResult& trace) {
+  std::vector<const TraceRecord*> order;
+  order.reserve(trace.records.size());
+  for (const TraceRecord& record : trace.records) order.push_back(&record);
+  auto earlier = [](const TraceRecord* a, const TraceRecord* b) {
+    return a->arrival_ns < b->arrival_ns;
+  };
+  if (!std::is_sorted(order.begin(), order.end(), earlier)) {
+    std::stable_sort(order.begin(), order.end(), earlier);
+  }
+  return order;
+}
 
-using SteadyClock = std::chrono::steady_clock;
+TraceSource::TraceSource(const std::vector<const TraceRecord*>& order,
+                         int connection, const ReplayOptions& options)
+    : order_(order),
+      rank_(static_cast<size_t>(connection)),
+      stride_(static_cast<size_t>(options.connections)),
+      speed_(options.speed),
+      connection_(connection),
+      codec_(options.tpch, options.tpcc,
+             options.seed + static_cast<uint64_t>(connection)) {}
 
-}  // namespace
+bool TraceSource::Next(double* due_seconds, workload::Query* query) {
+  if (rank_ >= order_.size()) return false;
+  const TraceRecord& record = *order_[rank_];
+  rank_ += stride_;
+  *due_seconds =
+      static_cast<double>(record.arrival_ns - order_[0]->arrival_ns) / 1e9 /
+      speed_;
+  *query = codec_.Materialize(record);
+  query->client_id = connection_;
+  return true;
+}
 
 Replayer::Replayer(const TraceReadResult& trace,
                    const ReplayOptions& options, obs::Telemetry* telemetry)
-    : trace_(trace), options_(options), telemetry_(telemetry) {
+    : trace_(trace), options_(options) {
   if (options_.connections < 1) options_.connections = 1;
   if (options_.speed <= 0.0) options_.speed = 1.0;
-  if (telemetry_ != nullptr) {
-    rtt_hist_ =
-        telemetry_->registry.GetHistogram("qsched_replay_rtt_seconds");
+  driver_.host = options_.host;
+  driver_.port = options_.port;
+  driver_.connections = options_.connections;
+  driver_.max_outstanding = options_.max_outstanding;
+  if (telemetry != nullptr) {
+    obs::Registry& reg = telemetry->registry;
+    driver_.rtt = reg.GetHistogram("qsched_replay_rtt_seconds");
+    driver_.offered = reg.GetCounter("qsched_replay_offered_total");
+    driver_.completed = reg.GetCounter("qsched_replay_completed_total");
   }
 }
 
-Result<ReplayReport> Replayer::Run() {
-  std::vector<std::thread> threads;
-  std::vector<Status> statuses(
-      static_cast<size_t>(options_.connections), Status::OK());
-  threads.reserve(static_cast<size_t>(options_.connections));
-  for (int i = 0; i < options_.connections; ++i) {
-    threads.emplace_back(
-        [this, i, &statuses] { statuses[static_cast<size_t>(i)] =
-                                   RunConnection(i); });
-  }
-  for (std::thread& t : threads) t.join();
-  for (const Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
-
-  ReplayReport report;
-  report.offered = offered_.load();
-  report.accepted = accepted_.load();
-  report.rejected_queue_full = rejected_queue_full_.load();
-  report.rejected_shutting_down = rejected_shutting_down_.load();
-  report.rejected_backend_unavailable =
-      rejected_backend_unavailable_.load();
-  report.completed = completed_.load();
-  report.lost = lost_.load();
-  report.unmatched = unmatched_.load();
-  {
-    std::lock_guard<std::mutex> lock(phase_mu_);
-    report.feed_seconds = feed_seconds_;
-    report.drain_seconds = drain_seconds_;
-    report.mean_lag_seconds =
-        report.offered > 0
-            ? lag_sum_seconds_ / static_cast<double>(report.offered)
-            : 0.0;
-  }
-  return report;
-}
-
-Status Replayer::RunConnection(int index) {
-  // The trace is replayed in arrival order; each connection owns the
-  // records whose rank % connections == index, so the partition is
-  // deterministic regardless of capture-side thread interleaving.
-  std::vector<const TraceRecord*> ordered;
-  ordered.reserve(trace_.records.size());
-  for (const TraceRecord& record : trace_.records) {
-    ordered.push_back(&record);
-  }
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const TraceRecord* a, const TraceRecord* b) {
-                     return a->arrival_ns < b->arrival_ns;
-                   });
-  const uint64_t base_ns = ordered.empty() ? 0 : ordered[0]->arrival_ns;
-
-  Result<std::unique_ptr<net::Client>> connected =
-      net::Client::Connect(options_.host, options_.port, 5.0);
-  if (!connected.ok()) return connected.status();
-  std::unique_ptr<net::Client> client = std::move(connected).ValueOrDie();
-
-  TemplateCodec codec(options_.tpch, options_.tpcc,
-                      options_.seed + static_cast<uint64_t>(index));
-
-  // request_id -> submit wall time, for RTT + conservation accounting.
-  std::unordered_map<uint64_t, SteadyClock::time_point> pending;
-  double lag_sum = 0.0;
-
-  auto absorb = [&](const net::ClientCompletion& completion) {
-    auto it = pending.find(completion.request_id);
-    if (it == pending.end()) {
-      unmatched_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    const double rtt =
-        std::chrono::duration<double>(SteadyClock::now() - it->second)
-            .count();
-    pending.erase(it);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    if (rtt_hist_ != nullptr) rtt_hist_->Record(rtt);
-  };
-  auto process_verdict = [&](const net::Client::SubmitResult& sr) {
-    if (sr.accepted) {
-      accepted_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      pending.erase(sr.request_id);
-      if (sr.reject_reason == rt::RejectReason::kShuttingDown) {
-        rejected_shutting_down_.fetch_add(1, std::memory_order_relaxed);
-      } else if (sr.reject_reason ==
-                 rt::RejectReason::kBackendUnavailable) {
-        rejected_backend_unavailable_.fetch_add(1,
-                                                std::memory_order_relaxed);
-      } else {
-        rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  };
-  auto drain_verdicts = [&]() {
-    net::Client::SubmitResult sr;
-    while (client->PopVerdict(&sr)) process_verdict(sr);
-  };
-
-  const size_t depth_limit = static_cast<size_t>(
-      options_.max_outstanding > 0 ? options_.max_outstanding : 256);
-  const SteadyClock::time_point start = SteadyClock::now();
-
-  size_t since_flush = 0;
-  for (size_t rank = static_cast<size_t>(index); rank < ordered.size();
-       rank += static_cast<size_t>(options_.connections)) {
-    const TraceRecord& record = *ordered[rank];
-    // Original gap, compressed by the speed multiplier.
-    const double target_offset =
-        static_cast<double>(record.arrival_ns - base_ns) / 1e9 /
-        options_.speed;
-    const SteadyClock::time_point due =
-        start + std::chrono::duration_cast<SteadyClock::duration>(
-                    std::chrono::duration<double>(target_offset));
-
-    // Wait out the gap, absorbing whatever the server sends meanwhile.
-    while (true) {
-      const double wait =
-          std::chrono::duration<double>(due - SteadyClock::now()).count();
-      if (wait <= 0.0) break;
-      if (since_flush > 0) {
-        QSCHED_RETURN_NOT_OK(client->Flush());
-        since_flush = 0;
-      }
-      Result<net::Client::PolledCompletion> polled =
-          client->PollCompletion(wait);
-      if (!polled.ok()) return polled.status();
-      drain_verdicts();
-      if (polled.ValueOrDie().found) absorb(polled.ValueOrDie().completion);
-    }
-
-    // Backpressure: bound the pipeline depth so an overloaded server
-    // slows the replay down instead of queueing it client-side.
-    while (client->outstanding() + client->verdicts_pending() >=
-           depth_limit) {
-      QSCHED_RETURN_NOT_OK(client->Flush());
-      since_flush = 0;
-      Result<net::Client::PolledCompletion> polled =
-          client->PollCompletion(0.050);
-      if (!polled.ok()) return polled.status();
-      drain_verdicts();
-      if (polled.ValueOrDie().found) absorb(polled.ValueOrDie().completion);
-    }
-
-    workload::Query query = codec.Materialize(record);
-    query.client_id = index;
-    lag_sum += std::chrono::duration<double>(SteadyClock::now() - due)
-                   .count();
-    offered_.fetch_add(1, std::memory_order_relaxed);
-    Result<uint64_t> rid = client->SubmitNoWait(query);
-    if (!rid.ok()) return rid.status();
-    pending.emplace(rid.ValueOrDie(), SteadyClock::now());
-    ++since_flush;
-    // A burst of due records rides one send(); anything that has been
-    // sitting unsent for a poll cycle goes out on the next wait.
-    if (since_flush >= 32) {
-      QSCHED_RETURN_NOT_OK(client->Flush());
-      since_flush = 0;
-    }
-
-    // Absorb whatever already came back, without blocking.
-    while (true) {
-      Result<net::Client::PolledCompletion> polled =
-          client->PollCompletion(0.0);
-      if (!polled.ok()) return polled.status();
-      drain_verdicts();
-      if (!polled.ValueOrDie().found) break;
-      absorb(polled.ValueOrDie().completion);
-    }
-  }
-
-  // Resolve every still-owed verdict before draining, so rejected
-  // queries are out of `pending` and accepted ones are counted.
-  QSCHED_RETURN_NOT_OK(client->Flush());
-  while (client->verdicts_pending() > 0) {
-    Result<net::Client::SubmitResult> verdict = client->NextVerdict();
-    if (!verdict.ok()) return verdict.status();
-    process_verdict(verdict.ValueOrDie());
-  }
-  const SteadyClock::time_point feed_end = SteadyClock::now();
-
-  Status drained = client->Drain();
-  if (!drained.ok()) return drained;
-  while (true) {
-    Result<net::Client::PolledCompletion> polled =
-        client->PollCompletion(0.0);
-    if (!polled.ok()) return polled.status();
-    if (!polled.ValueOrDie().found) break;
-    absorb(polled.ValueOrDie().completion);
-  }
-  drain_verdicts();
-  lost_.fetch_add(pending.size(), std::memory_order_relaxed);
-
-  const double feed_s =
-      std::chrono::duration<double>(feed_end - start).count();
-  const double drain_s =
-      std::chrono::duration<double>(SteadyClock::now() - feed_end).count();
-  {
-    std::lock_guard<std::mutex> lock(phase_mu_);
-    if (feed_s > feed_seconds_) feed_seconds_ = feed_s;
-    if (drain_s > drain_seconds_) drain_seconds_ = drain_s;
-    lag_sum_seconds_ += lag_sum;
-  }
-  return Status::OK();
+Result<net::LoadReport> Replayer::Run() {
+  // Sorted once; each connection owns the records whose rank %
+  // connections is its index, so the partition is deterministic whatever
+  // the capture-side thread interleaving.
+  const std::vector<const TraceRecord*> order = ArrivalOrder(trace_);
+  return net::DriveWire(driver_, [&](int index) {
+    return std::make_unique<TraceSource>(order, index, options_);
+  });
 }
 
 }  // namespace qsched::replay

@@ -1,13 +1,14 @@
 #ifndef QSCHED_REPLAY_REPLAYER_H_
 #define QSCHED_REPLAY_REPLAYER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
+#include "net/wire_driver.h"
 #include "obs/telemetry.h"
+#include "replay/template_codec.h"
 #include "replay/trace_format.h"
 #include "workload/tpcc_workload.h"
 #include "workload/tpch_workload.h"
@@ -34,40 +35,36 @@ struct ReplayOptions {
   workload::TpccWorkloadParams tpcc;
 };
 
-/// What one replay run did, mirroring the NETLOAD accounting so the same
-/// conservation identity applies: offered == accepted + rejected, every
-/// accepted query completed exactly once.
-struct ReplayReport {
-  uint64_t offered = 0;
-  uint64_t accepted = 0;
-  uint64_t rejected_queue_full = 0;
-  uint64_t rejected_shutting_down = 0;
-  uint64_t rejected_backend_unavailable = 0;
-  uint64_t completed = 0;
-  uint64_t lost = 0;
-  uint64_t unmatched = 0;
-  /// Wall seconds of the paced feed phase and the trailing drain.
-  double feed_seconds = 0.0;
-  double drain_seconds = 0.0;
-  /// Mean lag between a record's scheduled send time and its actual
-  /// send (positive = behind schedule), a fidelity measure.
-  double mean_lag_seconds = 0.0;
+/// The records of `trace` in arrival order (a stable sort, skipped when
+/// the trace is already sorted).
+std::vector<const TraceRecord*> ArrivalOrder(const TraceReadResult& trace);
 
-  uint64_t rejected() const {
-    return rejected_queue_full + rejected_shutting_down +
-           rejected_backend_unavailable;
-  }
-  bool conserved() const {
-    return offered == accepted + rejected() && completed == accepted &&
-           lost == 0 && unmatched == 0;
-  }
+/// One connection's share of a trace: the records of rank `connection`,
+/// `connection + connections`, ... in `order`, each due at its recorded
+/// offset from the first arrival divided by `speed`, and materialized by
+/// its own TemplateCodec seeded `seed + connection`.
+class TraceSource : public net::ArrivalSource {
+ public:
+  TraceSource(const std::vector<const TraceRecord*>& order, int connection,
+              const ReplayOptions& options);
+
+  bool Next(double* due_seconds, workload::Query* query) override;
+
+ private:
+  const std::vector<const TraceRecord*>& order_;
+  size_t rank_;
+  size_t stride_;
+  double speed_;
+  int connection_;
+  TemplateCodec codec_;
 };
 
-/// Plays a captured trace against a live endpoint through pipelined
-/// net::Clients, preserving the recorded inter-arrival gaps scaled by
-/// `speed`, then drains and reconciles completions client-side. The
-/// round-trip of every completion lands in `qsched_replay_rtt_seconds`;
-/// offered/completed counters are exported as `qsched_replay_*_total`.
+/// Plays a captured trace against a live endpoint on the wire driver
+/// (net::DriveWire), pipelined, preserving the recorded inter-arrival
+/// gaps scaled by `speed`, then drains and reconciles completions
+/// client-side. The round trip of every completion lands in
+/// `qsched_replay_rtt_seconds`; offered and completed counts in
+/// `qsched_replay_offered_total` and `qsched_replay_completed_total`.
 class Replayer {
  public:
   Replayer(const TraceReadResult& trace, const ReplayOptions& options,
@@ -78,30 +75,12 @@ class Replayer {
 
   /// Runs the replay, blocking. Returns the first connection-level error
   /// or the report; per-query rejections are not errors.
-  Result<ReplayReport> Run();
+  Result<net::LoadReport> Run();
 
  private:
-  Status RunConnection(int index);
-
   const TraceReadResult& trace_;
   ReplayOptions options_;
-  obs::Telemetry* telemetry_;
-
-  std::atomic<uint64_t> offered_{0};
-  std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> rejected_queue_full_{0};
-  std::atomic<uint64_t> rejected_shutting_down_{0};
-  std::atomic<uint64_t> rejected_backend_unavailable_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> unmatched_{0};
-  std::atomic<uint64_t> lost_{0};
-
-  std::mutex phase_mu_;
-  double feed_seconds_ = 0.0;
-  double drain_seconds_ = 0.0;
-  double lag_sum_seconds_ = 0.0;
-
-  obs::Histogram* rtt_hist_ = nullptr;
+  net::WireDriverOptions driver_;
 };
 
 }  // namespace qsched::replay

@@ -59,26 +59,30 @@ LoadGenerator::LoadGenerator(Gateway* gateway,
 
 LoadGenerator::~LoadGenerator() { Join(); }
 
-double LoadGenerator::RateFactorAt(double t,
-                                   const LoadGenOptions& options) {
-  switch (options.pattern) {
+double ArrivalShape::RateFactorAt(double t) const {
+  switch (pattern) {
     case ArrivalPattern::kConstant:
       return 1.0;
     case ArrivalPattern::kBursty: {
-      double period = options.burst_period_seconds;
+      double period = burst_period_seconds;
       if (period <= 0.0) return 1.0;
       double phase = std::fmod(t, period) / period;
-      return phase < options.burst_duty ? options.burst_factor : 1.0;
+      return phase < burst_duty ? burst_factor : 1.0;
     }
     case ArrivalPattern::kDiurnal: {
-      double period = options.diurnal_period_seconds;
+      double period = diurnal_period_seconds;
       if (period <= 0.0) return 1.0;
-      double factor = 1.0 + options.diurnal_amplitude *
-                                std::sin(2.0 * M_PI * t / period);
+      double factor =
+          1.0 + diurnal_amplitude * std::sin(2.0 * M_PI * t / period);
       return factor < 0.0 ? 0.0 : factor;
     }
   }
   return 1.0;
+}
+
+double ArrivalShape::NextGap(double t, double qps, Rng* rng) const {
+  const double rate = qps * RateFactorAt(t);
+  return rate > 0.0 ? rng->Exponential(1.0 / rate) : 0.010;
 }
 
 void LoadGenerator::Start() {
@@ -96,10 +100,7 @@ void LoadGenerator::Run() {
   double t = 0.0;
   uint64_t seq = 0;
   while (t < options_.duration_wall_seconds) {
-    double rate = options_.qps * RateFactorAt(t, options_);
-    // A zero-rate trough (diurnal) idles forward at a fixed step.
-    double dt = rate > 0.0 ? rng_.Exponential(1.0 / rate) : 0.010;
-    t += dt;
+    t += options_.shape.NextGap(t, options_.qps, &rng_);
     if (t >= options_.duration_wall_seconds) break;
     std::this_thread::sleep_until(
         start + std::chrono::duration_cast<SteadyClock::duration>(

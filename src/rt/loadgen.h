@@ -24,8 +24,27 @@ const char* ArrivalPatternToString(ArrivalPattern pattern);
 bool ArrivalPatternFromString(const std::string& name,
                               ArrivalPattern* out);
 
-struct LoadGenOptions {
+/// How an open-loop Poisson arrival rate varies over time; shared by the
+/// in-process and the wire load generators.
+struct ArrivalShape {
   ArrivalPattern pattern = ArrivalPattern::kConstant;
+  /// Bursty pattern: cycle length, on-fraction and rate multiplier.
+  double burst_period_seconds = 0.5;
+  double burst_duty = 0.3;
+  double burst_factor = 4.0;
+  /// Diurnal pattern: "day" length and swing (0..1).
+  double diurnal_period_seconds = 2.0;
+  double diurnal_amplitude = 0.8;
+
+  /// Rate multiplier of `pattern` at time `t` (pure). Always >= 0.
+  double RateFactorAt(double t) const;
+  /// Exponential gap after an arrival at `t`, at `qps` times the factor
+  /// at `t`; a zero-rate trough (diurnal) idles forward 10 ms instead.
+  double NextGap(double t, double qps, Rng* rng) const;
+};
+
+struct LoadGenOptions {
+  ArrivalShape shape;
   /// Mean offered rate (queries per wall second).
   double qps = 100.0;
   /// Wall-clock length of the generation phase.
@@ -34,13 +53,6 @@ struct LoadGenOptions {
   /// When true (open loop), full-queue submissions are shed via
   /// Gateway::Offer; when false the generator blocks on backpressure.
   bool shed_when_full = true;
-  /// Bursty pattern: cycle length, on-fraction and rate multiplier.
-  double burst_period_seconds = 0.5;
-  double burst_duty = 0.3;
-  double burst_factor = 4.0;
-  /// Diurnal pattern: "day" length and swing (0..1).
-  double diurnal_period_seconds = 2.0;
-  double diurnal_amplitude = 0.8;
   /// Client ids are assigned round-robin over this many synthetic
   /// clients (the OLTP snapshot monitor samples per client).
   int num_clients = 16;
@@ -55,7 +67,7 @@ struct LoadSource {
 };
 
 /// Open-loop load generator: a dedicated thread draws Poisson arrivals
-/// (exponential inter-arrival times at the pattern's current rate),
+/// (ArrivalShape::NextGap at the pattern's current rate),
 /// samples a source from the mix, and pushes the query into the gateway.
 /// Deterministic in its draw sequence given the seed; arrival *timing* is
 /// wall-clock and therefore not reproducible — that is the point of the
@@ -83,10 +95,6 @@ class LoadGenerator {
   uint64_t offered() const { return offered_.load(); }
   /// Queries the gateway turned away (full queue, open loop only).
   uint64_t shed() const { return shed_.load(); }
-
-  /// Rate multiplier of `pattern` at wall time `t` (pure; exposed for
-  /// tests). Always >= 0.
-  static double RateFactorAt(double t, const LoadGenOptions& options);
 
  private:
   void Run();

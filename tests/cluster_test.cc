@@ -1,12 +1,14 @@
 // Cluster-layer tests: SLO-aware routing across loopback backends,
 // failover on backend death with zero lost COMPLETEDs, the per-backend
-// circuit breaker lifecycle, and attainment-deficit rerouting. These
+// circuit breaker lifecycle, a channel that cannot create its wakeup
+// pipe, and attainment-deficit rerouting. These
 // run in the TSan and ASan gates (tests/CMakeLists.txt): the router's
 // callbacks cross the front reactors, the channel threads and the
 // backends' completion threads, so the handoffs are checked for races
 // and memory errors, not just behavior.
 
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -333,6 +335,37 @@ TEST(ClusterTest, UnusableChannelFailsOverInsteadOfDropping) {
 
   EXPECT_TRUE(WaitFor([&] { return rejects.load() == 1; }, 5.0));
   EXPECT_EQ(failovers.load(), 1);
+  channel.Stop();
+}
+
+// A channel whose wakeup pipe cannot be created says so from Start() and
+// rejects forwarded queries at once, instead of queueing them for a
+// thread that no Forward can wake.
+TEST(ClusterTest, FailedWakePipeFailsStartAndRejectsForwards) {
+  BackendChannel channel({"127.0.0.1", 1}, FastTuning(), /*index=*/0,
+                         [](RoutedQuery, BackendChannel*) { FAIL(); });
+  // No descriptor can be allocated while the soft limit is 0.
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit none = saved;
+  none.rlim_cur = 0;
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &none), 0);
+  const Status started = channel.Start();
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_FALSE(started.ok());
+
+  workload::TpccWorkload oltp(workload::TpccWorkloadParams{}, /*seed=*/9);
+  int rejects = 0;
+  RoutedQuery item;
+  item.query = NextOltp(&oltp, 0);
+  item.on_verdict = [&](bool accepted, rt::RejectReason reason) {
+    EXPECT_FALSE(accepted);
+    EXPECT_EQ(reason, rt::RejectReason::kBackendUnavailable);
+    ++rejects;
+  };
+  item.on_complete = [](const net::ServiceCompletion&) { FAIL(); };
+  channel.Forward(std::move(item));
+  EXPECT_EQ(rejects, 1);
   channel.Stop();
 }
 

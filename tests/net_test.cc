@@ -1,17 +1,21 @@
 // Loopback lifecycle tests for the TCP front-end: connect/submit/
 // complete, concurrent-connection stress, graceful shutdown with zero
-// lost completions, malformed-frame injection, backpressure mapping and
-// the connection cap. These run in the TSan and ASan gates (see
+// lost completions, malformed-frame injection, backpressure mapping,
+// the connection cap, sub-millisecond poll timeouts and the synthetic
+// arrival source's pinned draw order. These run in the TSan and ASan gates (see
 // tests/CMakeLists.txt), so the reactor/clock-thread handoff is checked
 // for races and memory errors, not just behavior.
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/telemetry.h"
@@ -21,6 +25,7 @@
 #include "scheduler/service_class.h"
 #include "workload/client.h"
 #include "workload/tpcc_workload.h"
+#include "workload/tpch_workload.h"
 
 namespace qsched::net {
 namespace {
@@ -209,21 +214,21 @@ TEST(NetTest, EightConnectionStressConservesEveryQuery) {
   options.tpch_scale_factor = 0.05;
   RemoteLoadGenerator loadgen("127.0.0.1", harness.server->port(),
                               options, &harness.telemetry);
-  Status run = loadgen.Run();
-  ASSERT_TRUE(run.ok()) << run.ToString();
+  Result<LoadReport> run = loadgen.Run();
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const LoadReport& report = run.ValueOrDie();
 
-  EXPECT_GT(loadgen.offered(), 0u);
-  EXPECT_EQ(loadgen.offered(), loadgen.accepted() +
-                                   loadgen.rejected_queue_full() +
-                                   loadgen.rejected_shutting_down());
-  EXPECT_EQ(loadgen.completed(), loadgen.accepted());
-  EXPECT_EQ(loadgen.lost_completions(), 0u);
-  EXPECT_EQ(loadgen.unmatched_completions(), 0u);
+  EXPECT_GT(report.offered, 0u);
+  EXPECT_EQ(report.offered, report.accepted + report.rejected());
+  EXPECT_EQ(report.completed, report.accepted);
+  EXPECT_EQ(report.lost, 0u);
+  EXPECT_EQ(report.unmatched, 0u);
+  EXPECT_TRUE(report.conserved());
 
   // Server-side view agrees: every accepted submission produced exactly
   // one COMPLETED on its originating, still-open connection.
-  EXPECT_EQ(harness.server->submits_accepted(), loadgen.accepted());
-  EXPECT_EQ(harness.server->completions_delivered(), loadgen.completed());
+  EXPECT_EQ(harness.server->submits_accepted(), report.accepted);
+  EXPECT_EQ(harness.server->completions_delivered(), report.completed);
   EXPECT_EQ(harness.server->completions_dropped(), 0u);
   EXPECT_EQ(harness.server->connections_accepted(), 8u);
 }
@@ -245,20 +250,20 @@ TEST(NetTest, MultiReactorPipelinedStressConservesEveryQuery) {
   options.max_outstanding = 64;
   RemoteLoadGenerator loadgen("127.0.0.1", harness.server->port(),
                               options, &harness.telemetry);
-  Status run = loadgen.Run();
-  ASSERT_TRUE(run.ok()) << run.ToString();
+  Result<LoadReport> run = loadgen.Run();
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const LoadReport& report = run.ValueOrDie();
 
-  EXPECT_GT(loadgen.offered(), 0u);
-  EXPECT_EQ(loadgen.offered(), loadgen.accepted() +
-                                   loadgen.rejected_queue_full() +
-                                   loadgen.rejected_shutting_down());
-  EXPECT_EQ(loadgen.completed(), loadgen.accepted());
-  EXPECT_EQ(loadgen.lost_completions(), 0u);
-  EXPECT_EQ(loadgen.unmatched_completions(), 0u);
-  EXPECT_GT(loadgen.feed_seconds(), 0.0);
+  EXPECT_GT(report.offered, 0u);
+  EXPECT_EQ(report.offered, report.accepted + report.rejected());
+  EXPECT_EQ(report.completed, report.accepted);
+  EXPECT_EQ(report.lost, 0u);
+  EXPECT_EQ(report.unmatched, 0u);
+  EXPECT_TRUE(report.conserved());
+  EXPECT_GT(report.feed_seconds, 0.0);
 
-  EXPECT_EQ(harness.server->submits_accepted(), loadgen.accepted());
-  EXPECT_EQ(harness.server->completions_delivered(), loadgen.completed());
+  EXPECT_EQ(harness.server->submits_accepted(), report.accepted);
+  EXPECT_EQ(harness.server->completions_delivered(), report.completed);
   EXPECT_EQ(harness.server->completions_dropped(), 0u);
   EXPECT_EQ(harness.server->connections_accepted(), 8u);
 }
@@ -484,6 +489,70 @@ TEST(NetTest, ConnectionCapRefusesTheOverflowConnection) {
 
   // The in-cap connection is unaffected.
   EXPECT_TRUE(first.ValueOrDie()->Ping().ok());
+}
+
+// A paced wire driver waits for due times a fraction of a millisecond
+// away; rounding them up to whole poll() milliseconds sends late.
+TEST(NetTest, PollCompletionHonoursSubMillisecondTimeout) {
+  ServerHarness harness;
+  Result<std::unique_ptr<Client>> connected =
+      Client::Connect("127.0.0.1", harness.server->port());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  std::unique_ptr<Client> client = std::move(connected).ValueOrDie();
+  ASSERT_TRUE(client->Ping().ok());
+
+  std::vector<double> waits;
+  for (int i = 0; i < 50; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    Result<Client::PolledCompletion> polled = client->PollCompletion(0.0003);
+    waits.push_back(std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count());
+    ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+    EXPECT_FALSE(polled.ValueOrDie().found);
+  }
+  std::nth_element(waits.begin(), waits.begin() + 25, waits.end());
+  EXPECT_LT(waits[25], 0.0008);
+  ASSERT_TRUE(client->Drain().ok());
+}
+
+// The synthetic source's (class, query, due time, client id) sequence is
+// a pure function of (seed, options), drawn in the documented order.
+TEST(NetTest, SyntheticSourceDrawOrderPinned) {
+  for (uint64_t seed : {42u, 7u}) {
+    RemoteLoadOptions options;
+    options.connections = 2;
+    options.qps = 1000.0;
+    options.duration_wall_seconds = 60.0;
+    options.seed = seed;
+    options.tpch_scale_factor = 0.05;
+    for (int connection = 0; connection < 2; ++connection) {
+      const uint64_t base = seed + static_cast<uint64_t>(connection) * 7919;
+      workload::TpchWorkloadParams tpch;
+      tpch.scale_factor = 0.05;
+      workload::TpchWorkload olap(tpch, base);
+      workload::TpccWorkload oltp(workload::TpccWorkloadParams{}, base + 1);
+      Rng rng(base, 0x9e3779b97f4a7c15ULL);
+      const std::vector<double> weights = {3.0, 3.0, 94.0};
+      double due = 0.0;
+
+      SyntheticSource source(options, connection);
+      for (int k = 0; k < 200; ++k) {
+        const size_t pick = rng.Categorical(weights);
+        const workload::Query expected =
+            pick < 2 ? olap.Next() : oltp.Next();
+        double got_due = -1.0;
+        workload::Query got;
+        ASSERT_TRUE(source.Next(&got_due, &got));
+        EXPECT_EQ(got.class_id, static_cast<int>(pick) + 1);
+        EXPECT_EQ(got.cost_timerons, expected.cost_timerons);
+        EXPECT_EQ(got.template_name, expected.template_name);
+        EXPECT_EQ(got_due, due);
+        EXPECT_EQ(got.client_id, connection * 16 + k % 16);
+        due += rng.Exponential(1.0 / 500.0);
+      }
+    }
+  }
 }
 
 }  // namespace

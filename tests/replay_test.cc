@@ -1,7 +1,8 @@
 // Capture & replay subsystem tests: trace-format round trips over
 // randomized records, truncation/corruption recovery, the lock-cheap
-// recorder's conservation invariant under concurrent producers, replay
-// conservation against a loopback server, and the shadow what-if
+// recorder's conservation invariant under concurrent producers, the
+// replay source's rank partition, replay conservation against a loopback
+// server, and the shadow what-if
 // planner: bit-determinism across --jobs, a pinned report over a
 // tie-heavy trace, and pending events bounded by the queries in flight.
 // The concurrent cases run in the TSan and ASan gates (see
@@ -543,18 +544,55 @@ TEST(ReplayTest, ReplayLoopbackConservation) {
   options.connections = 2;
   options.seed = 17;
   Replayer replayer(trace, options, &telemetry);
-  Result<ReplayReport> ran = replayer.Run();
+  Result<net::LoadReport> ran = replayer.Run();
   ASSERT_TRUE(ran.ok()) << ran.status().ToString();
-  const ReplayReport& report = ran.ValueOrDie();
+  const net::LoadReport& report = ran.ValueOrDie();
   EXPECT_EQ(report.offered, 400u);
   EXPECT_EQ(report.offered, report.accepted + report.rejected());
   EXPECT_EQ(report.completed, report.accepted);
   EXPECT_EQ(report.lost, 0u);
   EXPECT_EQ(report.unmatched, 0u);
   EXPECT_TRUE(report.conserved());
+  EXPECT_EQ(telemetry.registry.GetCounter("qsched_replay_offered_total")
+                ->value(),
+            report.offered);
+  EXPECT_EQ(telemetry.registry.GetCounter("qsched_replay_completed_total")
+                ->value(),
+            report.completed);
 
   server.Stop();
   runtime.Shutdown();
+}
+
+TEST(ReplayTest, TraceSourcePartitionsByRank) {
+  // Arrival ranks 0..9 stored out of order; record rank r arrives at
+  // r ms and costs 100 + r timerons.
+  const int kRanks[10] = {7, 2, 9, 0, 5, 1, 8, 3, 6, 4};
+  TraceReadResult trace;
+  for (int rank : kRanks) {
+    TraceRecord record;
+    record.arrival_ns = 5000000 + static_cast<uint64_t>(rank) * 1000000;
+    record.trace_id = static_cast<uint64_t>(rank) + 1;
+    record.cost_timerons = 100.0 + rank;
+    record.class_id = 3;
+    record.template_id = static_cast<uint16_t>(kOltpTemplateBit | 1);
+    trace.records.push_back(record);
+  }
+  const std::vector<const TraceRecord*> order = ArrivalOrder(trace);
+  ReplayOptions options;
+  options.connections = 3;
+  for (int connection = 0; connection < 3; ++connection) {
+    TraceSource source(order, connection, options);
+    double due = -1.0;
+    workload::Query query;
+    for (int rank = connection; rank < 10; rank += 3) {
+      ASSERT_TRUE(source.Next(&due, &query));
+      EXPECT_EQ(query.cost_timerons, 100.0 + rank);
+      EXPECT_DOUBLE_EQ(due, rank * 1e-3);
+      EXPECT_EQ(query.client_id, connection);
+    }
+    EXPECT_FALSE(source.Next(&due, &query));
+  }
 }
 
 TraceReadResult MixedTrace(size_t n) {

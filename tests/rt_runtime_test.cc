@@ -97,26 +97,26 @@ TEST(WallClockTest, CallbacksMayScheduleFollowOnEvents) {
 }
 
 TEST(LoadGenTest, RateFactorPatterns) {
-  LoadGenOptions options;
-  options.pattern = ArrivalPattern::kConstant;
-  EXPECT_DOUBLE_EQ(LoadGenerator::RateFactorAt(0.37, options), 1.0);
+  ArrivalShape shape;
+  shape.pattern = ArrivalPattern::kConstant;
+  EXPECT_DOUBLE_EQ(shape.RateFactorAt(0.37), 1.0);
 
-  options.pattern = ArrivalPattern::kBursty;
-  options.burst_period_seconds = 1.0;
-  options.burst_duty = 0.3;
-  options.burst_factor = 4.0;
-  EXPECT_DOUBLE_EQ(LoadGenerator::RateFactorAt(0.1, options), 4.0);
-  EXPECT_DOUBLE_EQ(LoadGenerator::RateFactorAt(0.9, options), 1.0);
-  EXPECT_DOUBLE_EQ(LoadGenerator::RateFactorAt(1.2, options), 4.0);
+  shape.pattern = ArrivalPattern::kBursty;
+  shape.burst_period_seconds = 1.0;
+  shape.burst_duty = 0.3;
+  shape.burst_factor = 4.0;
+  EXPECT_DOUBLE_EQ(shape.RateFactorAt(0.1), 4.0);
+  EXPECT_DOUBLE_EQ(shape.RateFactorAt(0.9), 1.0);
+  EXPECT_DOUBLE_EQ(shape.RateFactorAt(1.2), 4.0);
 
-  options.pattern = ArrivalPattern::kDiurnal;
-  options.diurnal_period_seconds = 4.0;
-  options.diurnal_amplitude = 0.8;
-  EXPECT_NEAR(LoadGenerator::RateFactorAt(1.0, options), 1.8, 1e-9);
-  EXPECT_NEAR(LoadGenerator::RateFactorAt(3.0, options), 0.2, 1e-9);
+  shape.pattern = ArrivalPattern::kDiurnal;
+  shape.diurnal_period_seconds = 4.0;
+  shape.diurnal_amplitude = 0.8;
+  EXPECT_NEAR(shape.RateFactorAt(1.0), 1.8, 1e-9);
+  EXPECT_NEAR(shape.RateFactorAt(3.0), 0.2, 1e-9);
   // Amplitude above 1 would go negative at the trough: clamped to 0.
-  options.diurnal_amplitude = 1.5;
-  EXPECT_DOUBLE_EQ(LoadGenerator::RateFactorAt(3.0, options), 0.0);
+  shape.diurnal_amplitude = 1.5;
+  EXPECT_DOUBLE_EQ(shape.RateFactorAt(3.0), 0.0);
 
   ArrivalPattern parsed;
   EXPECT_TRUE(ArrivalPatternFromString("bursty", &parsed));
@@ -169,13 +169,13 @@ TEST(RtRuntimeTest, GatewaySmoke) {
   workload::TpccWorkload oltp(tpcc, /*seed=*/9);
 
   LoadGenOptions load;
-  load.pattern = ArrivalPattern::kBursty;
+  load.shape.pattern = ArrivalPattern::kBursty;
   load.qps = 1500.0;
   load.duration_wall_seconds = 2.1;
   load.seed = 1234;
-  load.burst_period_seconds = 0.5;
-  load.burst_duty = 0.4;
-  load.burst_factor = 2.0;
+  load.shape.burst_period_seconds = 0.5;
+  load.shape.burst_duty = 0.4;
+  load.shape.burst_factor = 2.0;
   LoadGenerator loadgen(&runtime.gateway(),
                         {{&olap1, 1, 3.0}, {&olap2, 2, 3.0}, {&oltp, 3, 94.0}},
                         load, &telemetry);

@@ -110,13 +110,13 @@ TEST(StageTraceTest, GatewayStagesSumToEndToEndUnderLoad) {
   workload::TpccWorkload oltp(workload::TpccWorkloadParams{}, /*seed=*/22);
 
   rt::LoadGenOptions load;
-  load.pattern = rt::ArrivalPattern::kBursty;
+  load.shape.pattern = rt::ArrivalPattern::kBursty;
   load.qps = 1500.0;
   load.duration_wall_seconds = 1.5;
   load.seed = 99;
-  load.burst_period_seconds = 0.3;
-  load.burst_duty = 0.3;
-  load.burst_factor = 3.0;
+  load.shape.burst_period_seconds = 0.3;
+  load.shape.burst_duty = 0.3;
+  load.shape.burst_factor = 3.0;
   rt::LoadGenerator loadgen(&runtime.gateway(),
                             {{&olap, 1, 6.0}, {&oltp, 3, 94.0}}, load,
                             &telemetry);

@@ -326,8 +326,6 @@ RtGatewayNumbers BenchRtGateway(double qps, double duration_seconds,
   qsched::obs::Telemetry telemetry;
   qsched::rt::RuntimeOptions options;
   options.time_scale = 60.0;
-  options.horizon_model_seconds =
-      std::max(3600.0, 4.0 * duration_seconds * options.time_scale);
   options.gateway.queue_capacity = 8192;
   options.gateway.workers = 4;
   options.scheduler.control_interval_seconds = 15.0;
@@ -485,8 +483,6 @@ NetLoopbackNumbers BenchNetLoopback(double qps, double duration_seconds,
   qsched::obs::Telemetry telemetry;
   qsched::rt::RuntimeOptions options;
   options.time_scale = time_scale;
-  options.horizon_model_seconds =
-      std::max(3600.0, 4.0 * duration_seconds * options.time_scale);
   options.gateway.queue_capacity = 8192;
   options.gateway.workers = 4;
   // At high time_scale a compressed control interval makes the planner
@@ -617,8 +613,6 @@ ClusterLoopbackNumbers BenchClusterRouted(double qps,
     stack.telemetry = std::make_unique<qsched::obs::Telemetry>();
     qsched::rt::RuntimeOptions options;
     options.time_scale = 60.0;
-    options.horizon_model_seconds =
-        std::max(3600.0, 4.0 * duration_seconds * options.time_scale);
     options.gateway.queue_capacity = 8192;
     options.gateway.workers = 4;
     options.scheduler.control_interval_seconds = 15.0;

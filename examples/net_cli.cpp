@@ -120,7 +120,6 @@ int RunServe(const qsched::FlagParser& flags) {
   qsched::obs::Telemetry telemetry;
   qsched::rt::RuntimeOptions options;
   options.time_scale = flags.GetDouble("time-scale", 60.0);
-  options.horizon_model_seconds = 3600.0 * 24.0;
   options.seed = seed;
   options.gateway.queue_capacity =
       static_cast<size_t>(flags.GetInt("queue-capacity", 4096));

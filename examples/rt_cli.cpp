@@ -34,7 +34,6 @@
 //                        the flag to disable)
 //   --http-port-file=PATH  write the bound HTTP port as a single line
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -136,8 +135,6 @@ int main(int argc, char** argv) {
   qsched::obs::Telemetry telemetry;
   qsched::rt::RuntimeOptions options;
   options.time_scale = time_scale;
-  options.horizon_model_seconds =
-      std::max(3600.0, 2.0 * duration * time_scale);
   options.seed = seed;
   options.gateway.queue_capacity =
       static_cast<size_t>(flags.GetInt("queue-capacity", 4096));

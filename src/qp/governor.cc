@@ -9,11 +9,8 @@ Governor::Governor(sim::Clock* simulator, Interceptor* interceptor,
     : simulator_(simulator), interceptor_(interceptor), options_(options) {}
 
 void Governor::Start(sim::SimTime until) {
-  double interval = options_.sweep_interval_seconds;
-  if (interval <= 0.0) return;
-  for (double t = interval; t <= until; t += interval) {
-    simulator_->ScheduleAt(t, [this] { SweepOnce(); });
-  }
+  simulator_->SchedulePeriodic(options_.sweep_interval_seconds, until,
+                               [this] { SweepOnce(); });
 }
 
 int Governor::SweepOnce() {

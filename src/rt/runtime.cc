@@ -26,6 +26,7 @@ Runtime::Runtime(const sched::ServiceClassSet& classes,
       gateway_(&clock_, &scheduler_, options.gateway, options.telemetry) {
   if (options_.telemetry != nullptr) {
     engine_.set_telemetry(options_.telemetry);
+    clock_.set_telemetry(options_.telemetry);
   }
 }
 
@@ -35,7 +36,7 @@ void Runtime::Start() {
   QSCHED_CHECK(!started_) << "runtime already started";
   started_ = true;
   clock_.Start();
-  // The sampler chain is model timers; arm it before load arrives.
+  // The sampler is a model timer; arm it before load arrives.
   clock_.Run([&] { scheduler_.StartSampling(options_.horizon_model_seconds); });
   gateway_.Start();
   control_thread_ = std::thread([this] { ControlLoop(); });

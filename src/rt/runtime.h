@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -21,10 +22,10 @@ struct RuntimeOptions {
   /// paper-scale control minute, so a 2 s live run spans two planning
   /// cycles.
   double time_scale = 1.0;
-  /// Model-time horizon the snapshot sampler is armed for; size it to
-  /// comfortably cover the intended run length (it only bounds how far
-  /// ahead sampler timers exist, not the run itself).
-  double horizon_model_seconds = 3600.0;
+  /// Model time after which the OLTP snapshot sampler stops; it never
+  /// bounds the run itself. The default (infinity) samples until
+  /// Shutdown. The sampler keeps one pending timer whatever the horizon.
+  double horizon_model_seconds = std::numeric_limits<double>::infinity();
   uint64_t seed = 42;
   GatewayOptions gateway;
   engine::EngineConfig engine;

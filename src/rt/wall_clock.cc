@@ -48,17 +48,60 @@ WallClock::WallTime WallClock::WallDeadline(double model_time) const {
 
 sim::EventId WallClock::ScheduleAt(sim::SimTime when, sim::EventFn fn) {
   std::lock_guard<std::recursive_mutex> lock(core_mu_);
+  return Insert(when, next_seq_++, std::move(fn));
+}
+
+uint64_t WallClock::ReserveSequence(uint64_t n) {
+  std::lock_guard<std::recursive_mutex> lock(core_mu_);
+  const uint64_t first = next_seq_;
+  next_seq_ += n;
+  return first;
+}
+
+sim::EventId WallClock::ScheduleAtSequence(sim::SimTime when, uint64_t seq,
+                                           sim::EventFn fn) {
+  std::lock_guard<std::recursive_mutex> lock(core_mu_);
+  QSCHED_CHECK(seq < next_seq_) << "sequence rank was never reserved";
+  return Insert(when, seq, std::move(fn));
+}
+
+sim::EventId WallClock::Insert(sim::SimTime when, uint64_t seq,
+                               sim::EventFn fn) {
   double now = Now();
   if (when < now) when = now;
   sim::EventId id = next_id_++;
-  Key key{when, next_seq_++};
+  Key key{when, seq};
   Entry entry;
   entry.id = id;
   entry.fn = std::move(fn);
-  timers_.emplace(key, std::move(entry));
+  auto [it, inserted] = timers_.emplace(key, std::move(entry));
+  QSCHED_CHECK(inserted) << "sequence rank " << seq << " used twice";
   index_.emplace(id, key);
-  cv_.notify_all();
+  SetPendingGauge();
+  // Wake the clock thread only when its sleep must end sooner: this
+  // timer is the new earliest deadline, or the earliest is already due
+  // and the thread is oversleeping its timed wait (by the kernel's timer
+  // slack, 50 us = 300 model ms at time scale 6000). A later timer
+  // changes neither.
+  if (it == timers_.begin() || timers_.begin()->first.when <= now) {
+    cv_.notify_all();
+  }
   return id;
+}
+
+void WallClock::set_telemetry(obs::Telemetry* telemetry) {
+  std::lock_guard<std::recursive_mutex> lock(core_mu_);
+  obs::Registry& reg = telemetry->registry;
+  pending_gauge_ = reg.GetGauge("qsched_rt_timers_pending");
+  fired_counter_ = reg.GetCounter("qsched_rt_timers_fired_total");
+  wakeups_counter_ = reg.GetCounter("qsched_rt_clock_wakeups_total");
+  SetPendingGauge();
+}
+
+void WallClock::SetPendingGauge() {
+  if (pending_gauge_ != nullptr) {
+    pending_gauge_->Set(static_cast<double>(timers_.size()));
+  }
 }
 
 sim::EventId WallClock::ScheduleAfter(sim::SimTime delay, sim::EventFn fn) {
@@ -73,6 +116,7 @@ bool WallClock::Cancel(sim::EventId id) {
   if (it == index_.end()) return false;
   timers_.erase(it->second);
   index_.erase(it);
+  SetPendingGauge();
   return true;
 }
 
@@ -83,9 +127,13 @@ size_t WallClock::timers_pending() const {
 
 void WallClock::ClockLoop() {
   std::unique_lock<std::recursive_mutex> lock(core_mu_);
+  auto woke = [this] {
+    if (wakeups_counter_ != nullptr) wakeups_counter_->Inc();
+  };
   while (!stop_) {
     if (timers_.empty()) {
       cv_.wait(lock, [this] { return stop_ || !timers_.empty(); });
+      woke();
       continue;
     }
     auto it = timers_.begin();
@@ -93,6 +141,7 @@ void WallClock::ClockLoop() {
     if (SteadyClock::now() < deadline) {
       // New earlier timers or Stop() re-run the loop via the notify.
       cv_.wait_until(lock, deadline);
+      woke();
       continue;
     }
     // Pop-and-execute is atomic under the core lock: once the entry
@@ -102,7 +151,11 @@ void WallClock::ClockLoop() {
     timers_.erase(it);
     index_.erase(entry.id);
     timers_fired_.fetch_add(1, std::memory_order_relaxed);
+    if (fired_counter_ != nullptr) fired_counter_->Inc();
     entry.fn();
+    // After the callback, so a periodic tick that re-arms itself never
+    // shows a momentary 0.
+    SetPendingGauge();
   }
 }
 

@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "obs/telemetry.h"
 #include "sim/clock.h"
 
 namespace qsched::rt {
@@ -40,8 +41,13 @@ namespace qsched::rt {
 ///    recursive), exactly like DES callbacks scheduling follow-on events.
 ///
 /// Every Clock method is thread-safe. Semantics match the Simulator:
-/// past times clamp to Now(), equal timestamps fire FIFO, Cancel returns
-/// false once the callback fired.
+/// past times clamp to Now(), equal timestamps fire FIFO (reserved ranks
+/// included), Cancel returns false once the callback fired.
+///
+/// The clock thread sleeps until the earliest deadline. Scheduling wakes
+/// it only when the new timer becomes that earliest deadline, when that
+/// deadline is already due (the thread overslept), or on Stop — so a
+/// burst of later timers costs no wakeups.
 class WallClock final : public sim::Clock {
  public:
   struct Options {
@@ -69,6 +75,15 @@ class WallClock final : public sim::Clock {
   sim::EventId ScheduleAt(sim::SimTime when, sim::EventFn fn) override;
   sim::EventId ScheduleAfter(sim::SimTime delay, sim::EventFn fn) override;
   bool Cancel(sim::EventId id) override;
+  uint64_t ReserveSequence(uint64_t n) override;
+  sim::EventId ScheduleAtSequence(sim::SimTime when, uint64_t seq,
+                                  sim::EventFn fn) override;
+
+  /// Exports the timer work to `telemetry` (non-null; must outlive the
+  /// clock): qsched_rt_timers_pending, qsched_rt_timers_fired_total and
+  /// qsched_rt_clock_wakeups_total (each time the clock thread returns
+  /// from a wait: deadline reached, notified, or spurious).
+  void set_telemetry(obs::Telemetry* telemetry);
 
   /// Runs `fn` while holding the core lock, serialized against timer
   /// callbacks and every other Run(). This is the only sanctioned way
@@ -121,6 +136,10 @@ class WallClock final : public sim::Clock {
   };
 
   void ClockLoop();
+  /// Inserts a timer (core lock held) and wakes the clock thread when
+  /// its sleep must end sooner.
+  sim::EventId Insert(sim::SimTime when, uint64_t seq, sim::EventFn fn);
+  void SetPendingGauge();
   WallTime WallDeadline(double model_time) const;
 
   const Options options_;
@@ -136,6 +155,9 @@ class WallClock final : public sim::Clock {
   uint64_t next_seq_ = 0;
   bool stop_ = false;
   std::atomic<uint64_t> timers_fired_{0};
+  obs::Gauge* pending_gauge_ = nullptr;
+  obs::Counter* fired_counter_ = nullptr;
+  obs::Counter* wakeups_counter_ = nullptr;
   std::thread thread_;
 };
 

@@ -44,10 +44,8 @@ MplController::MplController(sim::Clock* simulator,
 void MplController::Start(sim::SimTime until) {
   snapshot_.Start(until);
   if (!options_.adaptive) return;
-  double interval = options_.control_interval_seconds;
-  for (double t = interval; t <= until; t += interval) {
-    simulator_->ScheduleAt(t, [this] { ControlOnce(); });
-  }
+  simulator_->SchedulePeriodic(options_.control_interval_seconds, until,
+                               [this] { ControlOnce(); });
 }
 
 void MplController::Submit(const workload::Query& query,

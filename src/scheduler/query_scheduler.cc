@@ -100,9 +100,7 @@ void QueryScheduler::Start(sim::SimTime until) {
   snapshot_.Start(until);
   double interval = config_.control_interval_seconds;
   QSCHED_CHECK(interval > 0.0) << "control interval must be positive";
-  for (double t = interval; t <= until; t += interval) {
-    simulator_->ScheduleAt(t, [this] { PlanOnce(); });
-  }
+  simulator_->SchedulePeriodic(interval, until, [this] { PlanOnce(); });
 }
 
 bool QueryScheduler::Classify(const workload::Query& query) const {

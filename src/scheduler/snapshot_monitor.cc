@@ -20,11 +20,8 @@ void SnapshotMonitor::set_telemetry(obs::Telemetry* telemetry) {
 }
 
 void SnapshotMonitor::Start(sim::SimTime until) {
-  double interval = options_.sample_interval_seconds;
-  if (interval <= 0.0) return;
-  for (double t = interval; t <= until; t += interval) {
-    simulator_->ScheduleAt(t, [this] { TakeSnapshot(); });
-  }
+  simulator_->SchedulePeriodic(options_.sample_interval_seconds, until,
+                               [this] { TakeSnapshot(); });
 }
 
 void SnapshotMonitor::RecordCompletion(

@@ -36,7 +36,9 @@ class SnapshotMonitor {
   SnapshotMonitor(const SnapshotMonitor&) = delete;
   SnapshotMonitor& operator=(const SnapshotMonitor&) = delete;
 
-  /// Begins periodic sampling until `until` (simulated seconds).
+  /// Begins periodic sampling until `until` (model seconds; infinity
+  /// samples until the clock stops). One sampler timer is pending at a
+  /// time, whatever the horizon.
   void Start(sim::SimTime until);
 
   /// Engine-side bookkeeping: every finished OLTP query overwrites its

@@ -159,7 +159,92 @@ class Clock {
   /// Cancels a pending event. Returns false if it already fired, was
   /// already cancelled, or never existed.
   virtual bool Cancel(EventId id) = 0;
+
+  /// Reserves `n` consecutive FIFO tie-break ranks and returns the first.
+  /// An event later scheduled with ScheduleAtSequence(when, first + i)
+  /// fires exactly where it would have had it been scheduled with
+  /// ScheduleAt(when) at the moment of reservation — so a chain of events
+  /// each scheduling its successor needs only one pending slot, not one
+  /// per event, yet keeps the up-front order bit for bit. Unused ranks
+  /// are harmless gaps.
+  virtual uint64_t ReserveSequence(uint64_t n) = 0;
+
+  /// Schedules `fn` at `when` under a rank obtained from ReserveSequence
+  /// (each rank used at most once). Times in the past clamp to Now().
+  virtual EventId ScheduleAtSequence(SimTime when, uint64_t seq,
+                                     EventFn fn) = 0;
+
+  /// Periodic source: calls `fn` at model times interval, 2·interval, …
+  /// accumulated as `t += interval` while `t <= until` — the same times
+  /// and, at equal timestamps, the same FIFO order as the loop
+  ///
+  ///   for (t = interval; t <= until; t += interval) ScheduleAt(t, fn);
+  ///
+  /// run at this call, but with one pending event instead of one per
+  /// tick: the ranks that loop would have taken are reserved here and
+  /// each tick schedules its successor under the next one. An unbounded
+  /// `until` (infinity, or more than kMaxReservedTicks ticks) ticks until
+  /// the clock stops, each successor taking a fresh rank when scheduled.
+  /// No ticks when interval <= 0 or until < interval. `fn` must stay
+  /// callable for as long as the clock runs and be at most one pointer
+  /// in size: it is copied into every tick, and a static_assert keeps a
+  /// tick inside EventFn's inline buffer, so re-arming never allocates.
+  template <typename F>
+  void SchedulePeriodic(SimTime interval, SimTime until, F fn);
+
+ private:
+  /// Longest periodic source whose ranks are reserved up front. Below
+  /// it, the rounding of `t += interval` drifts by under 1/64 of an
+  /// interval, so floor(until / interval) + 2 ranks always cover the
+  /// loop's tick count.
+  static constexpr double kMaxReservedTicks = 16777216.0;  // 2^24
+  /// Rank marker of an unbounded periodic source's ticks.
+  static constexpr uint64_t kFreshRank = UINT64_MAX;
+
+  /// One pending tick of a periodic source.
+  template <typename F>
+  struct PeriodicTick {
+    Clock* clock;
+    F fn;
+    SimTime t;
+    SimTime interval;
+    SimTime until;
+    uint64_t seq;  // reserved rank, or kFreshRank
+
+    /// Arms the successor before running `fn`, so (as with every tick
+    /// pending up front) it ranks before anything `fn` schedules.
+    void operator()() {
+      if (t + interval <= until) {
+        clock->Arm(PeriodicTick{clock, fn, t + interval, interval, until,
+                                seq == kFreshRank ? kFreshRank : seq + 1});
+      }
+      fn();
+    }
+  };
+
+  /// Schedules `tick` at its time under its rank (a fresh one when the
+  /// source is unbounded).
+  template <typename F>
+  void Arm(PeriodicTick<F> tick) {
+    const SimTime when = tick.t;
+    const uint64_t seq =
+        tick.seq == kFreshRank ? ReserveSequence(1) : tick.seq;
+    ScheduleAtSequence(when, seq, std::move(tick));
+  }
 };
+
+template <typename F>
+void Clock::SchedulePeriodic(SimTime interval, SimTime until, F fn) {
+  static_assert(sizeof(PeriodicTick<F>) <= EventFn::kInlineCapacity,
+                "a periodic tick must fit EventFn inline");
+  if (!(interval > 0.0) || !(interval <= until)) return;
+  const double ticks = until / interval;
+  const uint64_t seq =
+      ticks < kMaxReservedTicks
+          ? ReserveSequence(static_cast<uint64_t>(ticks) + 2)
+          : kFreshRank;
+  Arm(PeriodicTick<F>{this, std::move(fn), interval, interval, until, seq});
+}
 
 }  // namespace qsched::sim
 

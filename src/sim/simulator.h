@@ -50,17 +50,10 @@ class Simulator final : public Clock {
   /// Schedules `fn` after `delay` seconds (negative delays clamp to 0).
   EventId ScheduleAfter(SimTime delay, EventFn fn) override;
 
-  /// Reserves `n` consecutive FIFO tie-break ranks and returns the first.
-  /// An event later scheduled with ScheduleAtSequence(when, first + i)
-  /// fires exactly where it would have had it been scheduled with
-  /// ScheduleAt(when) at the moment of reservation — so a chain of events
-  /// each scheduling its successor needs only one pending slot, not one
-  /// per event, yet keeps the up-front order bit for bit.
-  uint64_t ReserveSequence(uint64_t n);
-
-  /// Schedules `fn` at `when` under a rank obtained from ReserveSequence
-  /// (each rank used at most once). Times in the past clamp to Now().
-  EventId ScheduleAtSequence(SimTime when, uint64_t seq, EventFn fn);
+  // Ranked scheduling (see sim::Clock).
+  uint64_t ReserveSequence(uint64_t n) override;
+  EventId ScheduleAtSequence(SimTime when, uint64_t seq,
+                             EventFn fn) override;
 
   /// Cancels a pending event and reclaims its slot immediately. Returns
   /// false if it already fired, was already cancelled, or never existed.

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -225,6 +226,43 @@ TEST(HttpObsTest, ConcurrentScrapesAllGetFullResponses) {
   EXPECT_GE(server.requests_served(),
             static_cast<uint64_t>(kThreads * kRequestsPerThread));
   server.Stop();
+}
+
+// The wall clock's timer work is on /metrics: the pending-set gauge
+// (flat at the sampler's one timer when idle) and the fired / wakeup
+// counters.
+TEST(HttpObsTest, MetricsExportClockTimerWork) {
+  obs::Telemetry telemetry;
+  rt::RuntimeOptions options;
+  options.time_scale = 600.0;  // a 10 s sample tick every ~17 ms
+  options.telemetry = &telemetry;
+  rt::Runtime runtime(sched::MakePaperClasses(), options);
+  runtime.Start();
+  HttpServer http(HttpServerOptions{});
+  InstallRegistryHandlers(&http, &telemetry.registry);
+  ASSERT_TRUE(http.Start().ok());
+  for (int i = 0; i < 400 && runtime.clock().timers_fired() < 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  std::string exposition = BodyOf(HttpFetch(http.port(), "/metrics"));
+  EXPECT_NE(exposition.find("# TYPE qsched_rt_timers_pending gauge"),
+            std::string::npos);
+  EXPECT_NE(exposition.find("qsched_rt_timers_pending 1\n"),
+            std::string::npos);
+  EXPECT_NE(exposition.find("# TYPE qsched_rt_timers_fired_total counter"),
+            std::string::npos);
+  EXPECT_NE(
+      exposition.find("# TYPE qsched_rt_clock_wakeups_total counter"),
+      std::string::npos);
+  EXPECT_GE(telemetry.registry.GetCounter("qsched_rt_timers_fired_total")
+                ->value(),
+            3u);
+  EXPECT_GE(telemetry.registry.GetCounter("qsched_rt_clock_wakeups_total")
+                ->value(),
+            1u);
+  http.Stop();
+  runtime.Shutdown();
 }
 
 // STATS_REPLY and GET /varz are two views of the same gateway

@@ -96,6 +96,59 @@ TEST(WallClockTest, CallbacksMayScheduleFollowOnEvents) {
   clock.Stop();
 }
 
+// Reserved ranks order equal-timestamp timers on the wall clock exactly
+// as on the Simulator: by rank, not by when they were scheduled.
+TEST(WallClockTest, ReservedRanksKeepFifoOrder) {
+  WallClock clock(WallClock::Options{/*time_scale=*/100.0});
+  std::mutex mu;
+  std::vector<int> order;
+  auto record = [&](int id) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(id);
+  };
+  double base = clock.Now() + 2.0;  // 20 ms wall from now
+  const uint64_t first = clock.ReserveSequence(2);
+  clock.ScheduleAt(base, [&] { record(3); });
+  clock.ScheduleAtSequence(base, first + 1, [&] { record(2); });
+  clock.ScheduleAtSequence(base, first, [&] { record(1); });
+  clock.Start();
+  for (int i = 0; i < 500; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::lock_guard<std::mutex> lock(mu);
+    if (order.size() >= 3) break;
+  }
+  clock.Stop();
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+// Timers later than the pending earliest one cannot shorten the clock
+// thread's sleep, so scheduling them must not wake it.
+TEST(WallClockTest, LaterTimersDoNotWakeTheClockThread) {
+  obs::Telemetry telemetry;
+  const obs::Counter* wakeups =
+      telemetry.registry.GetCounter("qsched_rt_clock_wakeups_total");
+  WallClock clock;  // real time
+  clock.set_telemetry(&telemetry);
+  clock.Start();
+  std::atomic<bool> fired{false};
+  clock.ScheduleAfter(0.3, [&] { fired.store(true); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const uint64_t before = wakeups->value();
+  std::thread scheduler([&] {
+    for (int i = 0; i < 1000; ++i) {
+      clock.ScheduleAfter(60.0 + i * 0.001, [] {});
+    }
+  });
+  scheduler.join();
+  EXPECT_EQ(clock.timers_pending(), 1001u);
+  // A handful allows for spurious wakeups; notifying on every insert
+  // shows up as dozens.
+  EXPECT_LE(wakeups->value() - before, 5u);
+  EXPECT_FALSE(fired.load());
+  clock.Stop();
+}
+
 TEST(LoadGenTest, RateFactorPatterns) {
   ArrivalShape shape;
   shape.pattern = ArrivalPattern::kConstant;
@@ -224,6 +277,54 @@ TEST(RtRuntimeTest, GatewaySmoke) {
   EXPECT_GT(stats.timers_fired, 0u);
   EXPECT_GT(stats.model_seconds, 2.0 * options.time_scale * 0.9);
   EXPECT_GT(runtime.engine().queries_completed(), 0u);
+}
+
+// With default options the OLTP sampler runs until Shutdown: it still
+// takes snapshots after an hour of model time.
+TEST(RtRuntimeTest, DefaultOptionsKeepSamplingPastAnHour) {
+  RuntimeOptions options;
+  options.time_scale = 6000.0;  // one hour of model time in 0.6 s
+  Runtime runtime(sched::MakePaperClasses(), options);
+  runtime.Start();
+  auto snapshots = [&runtime] {
+    return runtime.clock().Run([&runtime] {
+      return runtime.scheduler().snapshot_monitor().snapshots_taken();
+    });
+  };
+  auto wait_for_model_time = [&runtime](double model_seconds) {
+    for (int i = 0; i < 1000 && runtime.clock().Now() < model_seconds;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  };
+  wait_for_model_time(3700.0);
+  const uint64_t past_an_hour = snapshots();
+  wait_for_model_time(4200.0);
+  EXPECT_GT(snapshots(), past_an_hour);
+  // An hour's horizon ends at 360 snapshots; a lagging clock thread
+  // still catches up past it.
+  for (int i = 0; i < 400 && snapshots() <= 400u; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GT(snapshots(), 400u);
+  // Still one sampler timer, not one per 10 s tick.
+  EXPECT_LE(runtime.clock().timers_pending(), 2u);
+  runtime.Shutdown();
+}
+
+// A long horizon arms one sampler timer at a time: the pending set
+// holds it plus any in-flight work, not one timer per tick.
+TEST(RtRuntimeTest, LongHorizonArmsOneSamplerTimer) {
+  RuntimeOptions options;
+  options.time_scale = 60.0;
+  options.horizon_model_seconds = 1e6;  // 100 000 ticks of 10 s
+  Runtime runtime(sched::MakePaperClasses(), options);
+  runtime.Start();
+  EXPECT_LE(runtime.clock().timers_pending(), 2u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  EXPECT_LE(runtime.clock().timers_pending(), 2u);
+  EXPECT_GE(runtime.clock().timers_fired(), 1u);
+  runtime.Shutdown();
 }
 
 // Batched admission under concurrent producers: whatever the batch size,

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -357,6 +358,116 @@ TEST(SimulatorTest, ReservedSequenceEventsCancelAndRejectStaleIds) {
   EXPECT_FALSE(first_fired);
   EXPECT_TRUE(second_fired);
   EXPECT_FALSE(simulator.Cancel(second));
+}
+
+// The tick times the pre-scheduling loop produced, float accumulation
+// and all.
+std::vector<SimTime> LoopTicks(SimTime interval, SimTime until) {
+  std::vector<SimTime> ticks;
+  if (interval <= 0.0) return ticks;
+  for (SimTime t = interval; t <= until; t += interval) ticks.push_back(t);
+  return ticks;
+}
+
+// Records the model time of every tick. Periodic callbacks capture one
+// pointer (so each tick fits EventFn inline), hence the struct.
+struct TickLog {
+  Simulator simulator;
+  std::vector<SimTime> ticks;
+  void Tick() { ticks.push_back(simulator.Now()); }
+};
+
+std::vector<SimTime> PeriodicTicks(SimTime interval, SimTime until) {
+  TickLog log;
+  log.simulator.SchedulePeriodic(interval, until,
+                                 [log = &log] { log->Tick(); });
+  log.simulator.RunToCompletion();
+  return log.ticks;
+}
+
+TEST(PeriodicTest, TickTimesMatchAccumulatingLoop) {
+  // 0.1 is inexact in binary: the ticks must carry the loop's rounding
+  // (0.30000000000000004, ...) and its count (0.9999999999999999 is in).
+  const std::vector<SimTime> tenths = PeriodicTicks(0.1, 1.0);
+  EXPECT_EQ(tenths, LoopTicks(0.1, 1.0));
+  EXPECT_EQ(tenths.size(), 10u);
+  EXPECT_EQ(PeriodicTicks(10.0, 7200.0), LoopTicks(10.0, 7200.0));
+  EXPECT_EQ(PeriodicTicks(0.7, 1000.0), LoopTicks(0.7, 1000.0));
+  EXPECT_EQ(PeriodicTicks(60.0, 60.0), LoopTicks(60.0, 60.0));
+}
+
+TEST(PeriodicTest, NoTicksForNonPositiveIntervalOrShortHorizon) {
+  for (SimTime interval : {0.0, -1.0}) {
+    Simulator simulator;
+    simulator.SchedulePeriodic(interval, 100.0, [] { FAIL(); });
+    EXPECT_EQ(simulator.pending_events(), 0u);
+  }
+  Simulator simulator;
+  simulator.SchedulePeriodic(10.0, 9.99, [] { FAIL(); });
+  EXPECT_EQ(simulator.pending_events(), 0u);
+  EXPECT_TRUE(PeriodicTicks(10.0, 9.99).empty());
+}
+
+TEST(PeriodicTest, KeepsOnePendingEventPerSource) {
+  TickLog log;
+  log.simulator.SchedulePeriodic(10.0, 7200.0, [log = &log] { log->Tick(); });
+  log.simulator.SchedulePeriodic(60.0, 7200.0, [log = &log] { log->Tick(); });
+  EXPECT_EQ(log.simulator.pending_events(), 2u);
+  while (log.simulator.Step()) {
+    EXPECT_LE(log.simulator.pending_events(), 2u);
+  }
+  EXPECT_EQ(log.ticks.size(), 720u + 120u);
+  EXPECT_EQ(log.simulator.slot_capacity(), 2u);
+}
+
+TEST(PeriodicTest, UnboundedHorizonTicksUntilTheRunStops) {
+  TickLog log;
+  log.simulator.SchedulePeriodic(10.0,
+                                 std::numeric_limits<SimTime>::infinity(),
+                                 [log = &log] { log->Tick(); });
+  log.simulator.RunUntil(100.0);
+  EXPECT_EQ(log.ticks, LoopTicks(10.0, 100.0));
+  EXPECT_EQ(log.simulator.pending_events(), 1u);
+}
+
+// Two periodic sources (intervals 10 and 60, so every 60 s they tie),
+// an event scheduled before them and one after, all at tying times, and
+// follow-ups scheduled from inside the ticks: firing order and times
+// must equal the pre-scheduled loops'.
+TEST(PeriodicTest, EqualTimestampOrderMatchesPreScheduling) {
+  struct World {
+    Simulator simulator;
+    std::vector<std::pair<int, SimTime>> order;
+    void Record(int tag) { order.emplace_back(tag, simulator.Now()); }
+    void Tick(int tag) {
+      Record(tag);
+      simulator.ScheduleAfter(0.0, [this, tag] { Record(tag + 1); });
+    }
+  };
+  auto run = [](bool periodic) {
+    World world;
+    Simulator& simulator = world.simulator;
+    simulator.ScheduleAt(60.0, [&world] { world.Record(1); });
+    if (periodic) {
+      simulator.SchedulePeriodic(10.0, 600.0, [w = &world] { w->Tick(10); });
+      simulator.SchedulePeriodic(60.0, 600.0, [w = &world] { w->Tick(60); });
+    } else {
+      for (SimTime t : LoopTicks(10.0, 600.0)) {
+        simulator.ScheduleAt(t, [&world] { world.Tick(10); });
+      }
+      for (SimTime t : LoopTicks(60.0, 600.0)) {
+        simulator.ScheduleAt(t, [&world] { world.Tick(60); });
+      }
+    }
+    simulator.ScheduleAt(120.0, [&world] { world.Record(2); });
+    simulator.RunToCompletion();
+    return std::make_pair(world.order, simulator.events_processed());
+  };
+  const auto up_front = run(false);
+  const auto periodic = run(true);
+  EXPECT_EQ(periodic.first, up_front.first);
+  EXPECT_EQ(periodic.second, up_front.second);
+  EXPECT_EQ(up_front.first.size(), 2u + 2u * (60u + 10u));
 }
 
 TEST(EventFnTest, HoldsMoveOnlyCallable) {

@@ -1,6 +1,6 @@
 // Real-time mode CLI: runs the paper's Query Scheduler stack on the wall
 // clock — a live gateway fed by an open-loop load generator, concurrent
-// gateway workers, and a timer-driven control loop — instead of the DES.
+// gateway workers, and the planner on a model timer — instead of the DES.
 //
 // Usage:
 //   rt_cli --mode=rt --qps=800 --duration=5 [options]

@@ -102,28 +102,28 @@ bool Gateway::RecordPushOutcome(QueuePush outcome, RejectReason* reason) {
   return false;
 }
 
-bool Gateway::Offer(workload::Query query, CompleteFn on_complete,
-                    RejectReason* reason) {
+Gateway::Item Gateway::Stamp(workload::Query query, CompleteFn on_complete) {
   query.id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
   if (on_offer_) on_offer_(query);
   auto now = std::chrono::steady_clock::now();
   query.job.trace = std::make_shared<obs::QueryStageTrace>();
   query.job.trace->trace_id = query.id;
   query.job.trace->enqueued = now;
-  Item item{std::move(query), now, std::move(on_complete)};
-  return RecordPushOutcome(queue_.TryPushOutcome(std::move(item)), reason);
+  return Item{std::move(query), now, std::move(on_complete)};
+}
+
+bool Gateway::Offer(workload::Query query, CompleteFn on_complete,
+                    RejectReason* reason) {
+  return RecordPushOutcome(
+      queue_.TryPushOutcome(Stamp(std::move(query), std::move(on_complete))),
+      reason);
 }
 
 bool Gateway::Submit(workload::Query query, CompleteFn on_complete,
                      RejectReason* reason) {
-  query.id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
-  if (on_offer_) on_offer_(query);
-  auto now = std::chrono::steady_clock::now();
-  query.job.trace = std::make_shared<obs::QueryStageTrace>();
-  query.job.trace->trace_id = query.id;
-  query.job.trace->enqueued = now;
-  Item item{std::move(query), now, std::move(on_complete)};
-  return RecordPushOutcome(queue_.PushOutcome(std::move(item)), reason);
+  return RecordPushOutcome(
+      queue_.PushOutcome(Stamp(std::move(query), std::move(on_complete))),
+      reason);
 }
 
 void Gateway::WorkerLoop() {

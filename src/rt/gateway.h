@@ -164,6 +164,9 @@ class Gateway {
     CompleteFn on_complete;
   };
 
+  /// Stamps a producer's query with its id, its stage trace and the
+  /// enqueue time, and reports it to on_offer_.
+  Item Stamp(workload::Query query, CompleteFn on_complete);
   bool RecordPushOutcome(QueuePush outcome, RejectReason* reason);
   void WorkerLoop();
   /// Admits one popped batch: stamps traces, records admission latency

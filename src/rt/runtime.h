@@ -1,12 +1,8 @@
 #ifndef QSCHED_RT_RUNTIME_H_
 #define QSCHED_RT_RUNTIME_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <limits>
-#include <mutex>
-#include <thread>
 
 #include "engine/execution_engine.h"
 #include "obs/telemetry.h"
@@ -22,9 +18,10 @@ struct RuntimeOptions {
   /// paper-scale control minute, so a 2 s live run spans two planning
   /// cycles.
   double time_scale = 1.0;
-  /// Model time after which the OLTP snapshot sampler stops; it never
-  /// bounds the run itself. The default (infinity) samples until
-  /// Shutdown. The sampler keeps one pending timer whatever the horizon.
+  /// Model time after which the OLTP snapshot sampler and the planner
+  /// stop; it never bounds the run itself. The default (infinity) keeps
+  /// both running until Shutdown. Each keeps one pending timer whatever
+  /// the horizon.
   double horizon_model_seconds = std::numeric_limits<double>::infinity();
   uint64_t seed = 42;
   GatewayOptions gateway;
@@ -40,22 +37,21 @@ struct RuntimeOptions {
 /// QueryScheduler stack that the DES drives, run on the wall clock.
 ///
 /// Threads and their roles:
-///  * clock thread (inside WallClock) — fires model timers (engine I/O
-///    and CPU completions, interception delays, snapshot samples) under
-///    the core lock;
+///  * clock thread (inside WallClock) — fires model timers under the core
+///    lock: engine I/O and CPU completions, interception delays, snapshot
+///    samples, and one Scheduling Planner cycle per control interval
+///    (armed by QueryScheduler::Start, the same call the DES makes), so
+///    new cost limits are applied atomically with respect to submissions
+///    and completions;
 ///  * gateway workers — drain the MPMC submission queue and submit into
 ///    the scheduler under the core lock;
-///  * control-loop thread (owned here) — once per control interval (wall
-///    time = interval / time_scale) takes the core lock and runs one
-///    Scheduling Planner cycle, so new cost limits are applied atomically
-///    with respect to submissions and completions;
 ///  * producers (load generators or arbitrary caller threads) — push
 ///    queries into the gateway from anywhere.
 ///
 /// Lifecycle: construct -> Start() -> feed gateway() -> Shutdown().
 /// Shutdown closes intake, drains the submission queue, waits for every
-/// admitted query to complete, then stops the control loop and the
-/// clock; the returned stats carry the conservation accounting.
+/// admitted query to complete, then stops the clock; the returned stats
+/// carry the conservation accounting.
 class Runtime {
  public:
   Runtime(const sched::ServiceClassSet& classes,
@@ -92,19 +88,12 @@ class Runtime {
   const sched::ServiceClassSet& classes() const { return classes_; }
 
  private:
-  void ControlLoop();
-
   RuntimeOptions options_;
   sched::ServiceClassSet classes_;
   WallClock clock_;
   engine::ExecutionEngine engine_;
   sched::QueryScheduler scheduler_;
   Gateway gateway_;
-
-  std::thread control_thread_;
-  std::mutex control_mu_;
-  std::condition_variable control_cv_;
-  bool stop_control_ = false;
 
   bool started_ = false;
   bool shut_down_ = false;

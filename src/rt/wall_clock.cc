@@ -1,5 +1,7 @@
 #include "rt/wall_clock.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace qsched::rt {
@@ -41,51 +43,41 @@ sim::SimTime WallClock::Now() const {
 }
 
 WallClock::WallTime WallClock::WallDeadline(double model_time) const {
-  return start_ + std::chrono::duration_cast<SteadyClock::duration>(
+  // Rounded up, so no timer fires before its model time.
+  return start_ + std::chrono::ceil<SteadyClock::duration>(
                       std::chrono::duration<double>(model_time /
                                                     options_.time_scale));
 }
 
 sim::EventId WallClock::ScheduleAt(sim::SimTime when, sim::EventFn fn) {
   std::lock_guard<std::recursive_mutex> lock(core_mu_);
-  return Insert(when, next_seq_++, std::move(fn));
+  return Insert(when, timers_.ReserveSequence(1), std::move(fn));
 }
 
 uint64_t WallClock::ReserveSequence(uint64_t n) {
   std::lock_guard<std::recursive_mutex> lock(core_mu_);
-  const uint64_t first = next_seq_;
-  next_seq_ += n;
-  return first;
+  return timers_.ReserveSequence(n);
 }
 
 sim::EventId WallClock::ScheduleAtSequence(sim::SimTime when, uint64_t seq,
                                            sim::EventFn fn) {
   std::lock_guard<std::recursive_mutex> lock(core_mu_);
-  QSCHED_CHECK(seq < next_seq_) << "sequence rank was never reserved";
   return Insert(when, seq, std::move(fn));
 }
 
 sim::EventId WallClock::Insert(sim::SimTime when, uint64_t seq,
                                sim::EventFn fn) {
-  double now = Now();
+  const double now = Now();
   if (when < now) when = now;
-  sim::EventId id = next_id_++;
-  Key key{when, seq};
-  Entry entry;
-  entry.id = id;
-  entry.fn = std::move(fn);
-  auto [it, inserted] = timers_.emplace(key, std::move(entry));
-  QSCHED_CHECK(inserted) << "sequence rank " << seq << " used twice";
-  index_.emplace(id, key);
+  const double earliest = timers_.next_time();
+  sim::EventId id = timers_.ScheduleAtSequence(when, seq, std::move(fn));
   SetPendingGauge();
   // Wake the clock thread only when its sleep must end sooner: this
-  // timer is the new earliest deadline, or the earliest is already due
+  // timer is earlier than the earliest pending one, or that one is due
   // and the thread is oversleeping its timed wait (by the kernel's timer
   // slack, 50 us = 300 model ms at time scale 6000). A later timer
   // changes neither.
-  if (it == timers_.begin() || timers_.begin()->first.when <= now) {
-    cv_.notify_all();
-  }
+  if (when < earliest || earliest <= now) cv_.notify_all();
   return id;
 }
 
@@ -95,12 +87,13 @@ void WallClock::set_telemetry(obs::Telemetry* telemetry) {
   pending_gauge_ = reg.GetGauge("qsched_rt_timers_pending");
   fired_counter_ = reg.GetCounter("qsched_rt_timers_fired_total");
   wakeups_counter_ = reg.GetCounter("qsched_rt_clock_wakeups_total");
+  late_hist_ = reg.GetHistogram("qsched_rt_timer_late_seconds");
   SetPendingGauge();
 }
 
 void WallClock::SetPendingGauge() {
   if (pending_gauge_ != nullptr) {
-    pending_gauge_->Set(static_cast<double>(timers_.size()));
+    pending_gauge_->Set(static_cast<double>(timers_.pending_events()));
   }
 }
 
@@ -112,17 +105,19 @@ sim::EventId WallClock::ScheduleAfter(sim::SimTime delay, sim::EventFn fn) {
 
 bool WallClock::Cancel(sim::EventId id) {
   std::lock_guard<std::recursive_mutex> lock(core_mu_);
-  auto it = index_.find(id);
-  if (it == index_.end()) return false;
-  timers_.erase(it->second);
-  index_.erase(it);
+  if (!timers_.Cancel(id)) return false;
   SetPendingGauge();
   return true;
 }
 
+uint64_t WallClock::timers_fired() const {
+  std::lock_guard<std::recursive_mutex> lock(core_mu_);
+  return timers_.events_processed();
+}
+
 size_t WallClock::timers_pending() const {
   std::lock_guard<std::recursive_mutex> lock(core_mu_);
-  return timers_.size();
+  return timers_.pending_events();
 }
 
 void WallClock::ClockLoop() {
@@ -131,28 +126,27 @@ void WallClock::ClockLoop() {
     if (wakeups_counter_ != nullptr) wakeups_counter_->Inc();
   };
   while (!stop_) {
-    if (timers_.empty()) {
-      cv_.wait(lock, [this] { return stop_ || !timers_.empty(); });
+    if (timers_.pending_events() == 0) {
+      cv_.wait(lock, [this] { return stop_ || timers_.pending_events() > 0; });
       woke();
       continue;
     }
-    auto it = timers_.begin();
-    WallTime deadline = WallDeadline(it->first.when);
+    const double when = timers_.next_time();
+    const WallTime deadline = WallDeadline(when);
     if (SteadyClock::now() < deadline) {
       // New earlier timers or Stop() re-run the loop via the notify.
       cv_.wait_until(lock, deadline);
       woke();
       continue;
     }
-    // Pop-and-execute is atomic under the core lock: once the entry
-    // leaves the heap no Cancel can reach it, and the callback runs
+    // Pop-and-execute is atomic under the core lock: once the event
+    // leaves the queue no Cancel can reach it, and the callback runs
     // before any other thread's Run() section interleaves.
-    Entry entry = std::move(it->second);
-    timers_.erase(it);
-    index_.erase(entry.id);
-    timers_fired_.fetch_add(1, std::memory_order_relaxed);
+    if (late_hist_ != nullptr) {
+      late_hist_->Record(std::max(0.0, Now() - when) / options_.time_scale);
+    }
     if (fired_counter_ != nullptr) fired_counter_->Inc();
-    entry.fn();
+    timers_.Step();
     // After the callback, so a periodic tick that re-arms itself never
     // shows a momentary 0.
     SetPendingGauge();

@@ -1,18 +1,16 @@
 #ifndef QSCHED_RT_WALL_CLOCK_H_
 #define QSCHED_RT_WALL_CLOCK_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/telemetry.h"
 #include "sim/clock.h"
+#include "sim/simulator.h"
 
 namespace qsched::rt {
 
@@ -26,26 +24,35 @@ namespace qsched::rt {
 /// seconds), so a multi-interval control experiment fits a short live
 /// run; 1 is real time.
 ///
-/// Threading model — the "core lock" protocol. The DES components are
-/// written single-threaded, so the WallClock serializes everything that
-/// touches them behind one recursive mutex (the core lock):
+/// Timers live in a private sim::Simulator, used only as the ordered,
+/// cancellable, rank-aware queue: the DES heap is the one timer queue in
+/// the program, and ids, FIFO ties and reserved ranks behave exactly as
+/// under the DES. The Simulator's own clock only trails the fired timers;
+/// Now() is always the wall clock.
+///
+/// Threading model — the "core lock" protocol. The DES components (and
+/// the Simulator queue itself) are externally serialized, so the
+/// WallClock serializes everything that touches them behind one
+/// recursive mutex (the core lock):
 ///
 ///  * A dedicated clock thread pops each due timer and executes its
 ///    callback *while holding the core lock*. Pop-and-execute is one
 ///    critical section, which closes the classic timer race: nobody can
 ///    observe (or Cancel) an event "in between" being popped and run.
+///    Periodic model work — the OLTP snapshot sampler and the Scheduling
+///    Planner — is such timers too, armed by QueryScheduler::Start().
 ///  * Any other thread that needs to call into the components — gateway
-///    workers submitting queries, the control-loop thread running a
-///    planning cycle — does so inside Run(fn), which takes the same
-///    lock. Callbacks may re-enter ScheduleAt/Cancel freely (the lock is
-///    recursive), exactly like DES callbacks scheduling follow-on events.
+///    workers submitting queries, Shutdown refreshing gauges — does so
+///    inside Run(fn), which takes the same lock. Callbacks may re-enter
+///    ScheduleAt/Cancel freely (the lock is recursive), exactly like DES
+///    callbacks scheduling follow-on events.
 ///
 /// Every Clock method is thread-safe. Semantics match the Simulator:
 /// past times clamp to Now(), equal timestamps fire FIFO (reserved ranks
 /// included), Cancel returns false once the callback fired.
 ///
 /// The clock thread sleeps until the earliest deadline. Scheduling wakes
-/// it only when the new timer becomes that earliest deadline, when that
+/// it only when the new timer is earlier than that deadline, when that
 /// deadline is already due (the thread overslept), or on Stop — so a
 /// burst of later timers costs no wakeups.
 class WallClock final : public sim::Clock {
@@ -80,9 +87,11 @@ class WallClock final : public sim::Clock {
                                   sim::EventFn fn) override;
 
   /// Exports the timer work to `telemetry` (non-null; must outlive the
-  /// clock): qsched_rt_timers_pending, qsched_rt_timers_fired_total and
+  /// clock): qsched_rt_timers_pending, qsched_rt_timers_fired_total,
   /// qsched_rt_clock_wakeups_total (each time the clock thread returns
-  /// from a wait: deadline reached, notified, or spurious).
+  /// from a wait: deadline reached, notified, or spurious) and
+  /// qsched_rt_timer_late_seconds (wall seconds from each timer's due
+  /// time to its pop).
   void set_telemetry(obs::Telemetry* telemetry);
 
   /// Runs `fn` while holding the core lock, serialized against timer
@@ -111,33 +120,17 @@ class WallClock final : public sim::Clock {
     for (size_t i = 0; i < count; ++i) fn(i);
   }
 
-  uint64_t timers_fired() const {
-    return timers_fired_.load(std::memory_order_relaxed);
-  }
+  /// Timers fired so far / pending now. Both take the core lock.
+  uint64_t timers_fired() const;
   size_t timers_pending() const;
   double time_scale() const { return options_.time_scale; }
 
  private:
   using WallTime = std::chrono::steady_clock::time_point;
 
-  /// Heap key: model time with a monotonic sequence tie-break (FIFO for
-  /// equal timestamps, like the Simulator).
-  struct Key {
-    double when;
-    uint64_t seq;
-    bool operator<(const Key& other) const {
-      if (when != other.when) return when < other.when;
-      return seq < other.seq;
-    }
-  };
-  struct Entry {
-    sim::EventId id = 0;
-    sim::EventFn fn;
-  };
-
   void ClockLoop();
-  /// Inserts a timer (core lock held) and wakes the clock thread when
-  /// its sleep must end sooner.
+  /// Inserts a timer at rank `seq` (core lock held) and wakes the clock
+  /// thread when its sleep must end sooner.
   sim::EventId Insert(sim::SimTime when, uint64_t seq, sim::EventFn fn);
   void SetPendingGauge();
   WallTime WallDeadline(double model_time) const;
@@ -145,19 +138,17 @@ class WallClock final : public sim::Clock {
   const Options options_;
   const WallTime start_;
 
-  /// The core lock (see class comment). Guards timers_, index_, the id /
-  /// seq counters and stop_, and serializes all component access.
+  /// The core lock (see class comment). Guards timers_ and stop_, and
+  /// serializes all component access.
   mutable std::recursive_mutex core_mu_;
   std::condition_variable_any cv_;
-  std::map<Key, Entry> timers_;
-  std::unordered_map<sim::EventId, Key> index_;
-  uint64_t next_id_ = 1;
-  uint64_t next_seq_ = 0;
+  /// The timer queue; its events_processed() counts fired timers.
+  sim::Simulator timers_;
   bool stop_ = false;
-  std::atomic<uint64_t> timers_fired_{0};
   obs::Gauge* pending_gauge_ = nullptr;
   obs::Counter* fired_counter_ = nullptr;
   obs::Counter* wakeups_counter_ = nullptr;
+  obs::Histogram* late_hist_ = nullptr;
   std::thread thread_;
 };
 

@@ -35,7 +35,7 @@ struct ClassIntervalStats {
 /// Thread-safety contract: AddRecord, Harvest and records_total take an
 /// internal mutex, so completion records may be fed from concurrent
 /// threads (the rt runtime's clock thread and gateway workers) while the
-/// control-loop thread harvests. Harvest atomically snapshots-and-resets
+/// planner timer harvests. Harvest atomically snapshots-and-resets
 /// the accumulators: a record lands either in this interval or the next,
 /// never both and never lost. set_telemetry is not synchronized — call
 /// it before any concurrent use, like the other components.

@@ -89,24 +89,10 @@ class QueryScheduler : public workload::QueryFrontend {
                  const ServiceClassSet* classes,
                  const QuerySchedulerConfig& config);
 
-  /// Starts the planning loop and the snapshot sampler; both run until
-  /// simulated time `until`.
+  /// Starts the planning loop and the snapshot sampler as periodic clock
+  /// timers; both run until model time `until` (infinity: until the
+  /// clock stops). The DES and the rt runtime both call this.
   void Start(sim::SimTime until);
-
-  /// Starts only the periodic snapshot sampler (until model time
-  /// `until`; infinity samples until the clock stops). The real-time
-  /// runtime uses this instead of Start(): its dedicated control-loop
-  /// thread drives planning cycles itself via RunPlanningCycle(), so no
-  /// planner timer is armed.
-  void StartSampling(sim::SimTime until) { snapshot_.Start(until); }
-
-  /// Runs one Scheduling Planner cycle on demand: harvest measurements,
-  /// solve, install the new plan (releasing whatever now fits). Under the
-  /// DES this is what the Start()-armed periodic timer calls; the rt
-  /// runtime's control-loop thread calls it under the core lock, which
-  /// is what makes the new cost limits take effect atomically with
-  /// respect to concurrent submissions.
-  void RunPlanningCycle() { PlanOnce(); }
 
   void Submit(const workload::Query& query, CompleteFn on_complete) override;
 

@@ -140,7 +140,7 @@ class EventFn {
 /// equal timestamps fire in scheduling order (FIFO); Cancel() returns
 /// false once the callback has fired (or the id never existed). Whether
 /// calls may come from multiple threads is an implementation property:
-/// the Simulator is single-threaded, the WallClock is thread-safe.
+/// the Simulator is externally serialized, the WallClock is thread-safe.
 class Clock {
  public:
   virtual ~Clock() = default;

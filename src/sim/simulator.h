@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -31,8 +32,9 @@ namespace qsched::sim {
 ///
 /// All simulated components (clients, controllers, the engine) hold a
 /// sim::Clock* (this class in DES mode) and express waiting as
-/// `ScheduleAfter(delay, callback)`. Single-threaded: all scheduling and
-/// stepping must happen on the thread driving the event loop.
+/// `ScheduleAfter(delay, callback)`. Externally serialized: calls must
+/// never overlap. The DES drives it from one thread; rt::WallClock keeps
+/// one as its timer queue and calls it only under its core lock.
 class Simulator final : public Clock {
  public:
   Simulator();
@@ -71,6 +73,12 @@ class Simulator final : public Clock {
 
   /// Pre-sizes the slot pool and heap for `events` concurrent events.
   void Reserve(size_t events);
+
+  /// Timestamp of the earliest pending event; infinity when none is.
+  SimTime next_time() const {
+    return heap_.empty() ? std::numeric_limits<SimTime>::infinity()
+                         : heap_[0].when;
+  }
 
   /// Number of events currently pending (cancelled events excluded).
   size_t pending_events() const { return heap_.size(); }

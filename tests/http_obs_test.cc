@@ -248,7 +248,8 @@ TEST(HttpObsTest, MetricsExportClockTimerWork) {
   std::string exposition = BodyOf(HttpFetch(http.port(), "/metrics"));
   EXPECT_NE(exposition.find("# TYPE qsched_rt_timers_pending gauge"),
             std::string::npos);
-  EXPECT_NE(exposition.find("qsched_rt_timers_pending 1\n"),
+  // One pending timer each for the snapshot sampler and the planner.
+  EXPECT_NE(exposition.find("qsched_rt_timers_pending 2\n"),
             std::string::npos);
   EXPECT_NE(exposition.find("# TYPE qsched_rt_timers_fired_total counter"),
             std::string::npos);
@@ -261,6 +262,14 @@ TEST(HttpObsTest, MetricsExportClockTimerWork) {
   EXPECT_GE(telemetry.registry.GetCounter("qsched_rt_clock_wakeups_total")
                 ->value(),
             1u);
+  EXPECT_NE(
+      exposition.find("# TYPE qsched_rt_timer_late_seconds summary"),
+      std::string::npos);
+  EXPECT_EQ(exposition.find("qsched_rt_timer_late_seconds_count 0\n"),
+            std::string::npos);
+  EXPECT_GE(telemetry.registry.GetHistogram("qsched_rt_timer_late_seconds")
+                ->count(),
+            3u);
   http.Stop();
   runtime.Shutdown();
 }

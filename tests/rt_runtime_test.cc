@@ -1,5 +1,6 @@
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -59,12 +60,14 @@ TEST(WallClockTest, TimersFireInOrderWithFifoTieBreak) {
     if (order.size() >= 3) break;
   }
   clock.Stop();
+  // timers_fired() takes the core lock, which timer callbacks hold while
+  // taking `mu`: read it before taking `mu`.
+  EXPECT_EQ(clock.timers_fired(), 3u);
   std::lock_guard<std::mutex> lock(mu);
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 2);
   EXPECT_EQ(order[2], 3);
-  EXPECT_EQ(clock.timers_fired(), 3u);
 }
 
 TEST(WallClockTest, PastTimesClampAndStillFire) {
@@ -120,6 +123,42 @@ TEST(WallClockTest, ReservedRanksKeepFifoOrder) {
   clock.Stop();
   std::lock_guard<std::mutex> lock(mu);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+// Timer ids are the queue's slot + generation ids: a freed slot is
+// reused by the next timer, and the old id must not reach the new one —
+// whether the old timer was cancelled or fired.
+TEST(WallClockTest, StaleIdCannotCancelAReusedSlot) {
+  constexpr sim::EventId kSlotMask = 0xffffffffu;
+  WallClock clock(WallClock::Options{/*time_scale=*/100.0});
+  std::atomic<int> fired{0};
+  auto wait_for_fired = [&](int n) {
+    for (int i = 0; i < 500 && fired.load() < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  };
+
+  const sim::EventId cancelled = clock.ScheduleAfter(1000.0, [] {});
+  EXPECT_NE(cancelled, 0u);
+  EXPECT_TRUE(clock.Cancel(cancelled));
+  const sim::EventId reuser = clock.ScheduleAfter(0.0, [&] { ++fired; });
+  ASSERT_EQ(reuser & kSlotMask, cancelled & kSlotMask);
+  EXPECT_NE(reuser, cancelled);
+  EXPECT_FALSE(clock.Cancel(cancelled));
+  clock.Start();
+  wait_for_fired(1);
+  EXPECT_EQ(fired.load(), 1);
+
+  const sim::EventId done = clock.ScheduleAfter(0.0, [&] { ++fired; });
+  wait_for_fired(2);
+  ASSERT_EQ(fired.load(), 2);
+  const sim::EventId pending = clock.ScheduleAfter(1000.0, [&] { ++fired; });
+  ASSERT_EQ(pending & kSlotMask, done & kSlotMask);
+  EXPECT_FALSE(clock.Cancel(done));
+  EXPECT_EQ(clock.timers_pending(), 1u);
+  EXPECT_TRUE(clock.Cancel(pending));
+  clock.Stop();
+  EXPECT_EQ(clock.timers_fired(), 2u);
 }
 
 // Timers later than the pending earliest one cannot shorten the clock
@@ -181,7 +220,7 @@ TEST(LoadGenTest, RateFactorPatterns) {
 // under the TSan and ASan gates): a >= 2 s wall-clock mixed OLAP + OLTP
 // run at >= 1000 submissions/second through the gateway, with exact
 // query conservation (no query lost, none completed twice) and at least
-// two control-loop cycles in the planner audit JSONL.
+// two planning cycles in the planner audit JSONL.
 TEST(RtRuntimeTest, GatewaySmoke) {
   obs::Telemetry telemetry;
 
@@ -262,7 +301,7 @@ TEST(RtRuntimeTest, GatewaySmoke) {
   // The run actually pushed real volume through the stack.
   EXPECT_GE(stats.completed, 2000u);
 
-  // The live control loop planned repeatedly and left an audit trail.
+  // The live planner timer planned repeatedly and left an audit trail.
   EXPECT_GE(stats.planning_cycles, 2u);
   std::ostringstream jsonl;
   telemetry.audit.WriteJsonl(jsonl);
@@ -307,13 +346,13 @@ TEST(RtRuntimeTest, DefaultOptionsKeepSamplingPastAnHour) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_GT(snapshots(), 400u);
-  // Still one sampler timer, not one per 10 s tick.
+  // One timer each for the sampler and the planner, not one per tick.
   EXPECT_LE(runtime.clock().timers_pending(), 2u);
   runtime.Shutdown();
 }
 
 // A long horizon arms one sampler timer at a time: the pending set
-// holds it plus any in-flight work, not one timer per tick.
+// holds it and the planner's one timer, not one timer per tick.
 TEST(RtRuntimeTest, LongHorizonArmsOneSamplerTimer) {
   RuntimeOptions options;
   options.time_scale = 60.0;
@@ -325,6 +364,34 @@ TEST(RtRuntimeTest, LongHorizonArmsOneSamplerTimer) {
   EXPECT_LE(runtime.clock().timers_pending(), 2u);
   EXPECT_GE(runtime.clock().timers_fired(), 1u);
   runtime.Shutdown();
+}
+
+// The planner is a model timer: cycle k runs at model time k * interval
+// or later, and by Shutdown every cycle that was due has run, give or
+// take the one the clock thread may still have been sleeping towards.
+TEST(RtRuntimeTest, PlannerRunsOnTheModelSchedule) {
+  constexpr double kInterval = 15.0;
+  obs::Telemetry telemetry;
+  RuntimeOptions options;
+  options.time_scale = 60.0;  // one cycle per 0.25 s wall
+  options.scheduler.control_interval_seconds = kInterval;
+  options.telemetry = &telemetry;
+  Runtime runtime(sched::MakePaperClasses(), options);
+  runtime.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+  Runtime::Stats stats = runtime.Shutdown();
+
+  const auto due =
+      static_cast<uint64_t>(std::floor(stats.model_seconds / kInterval));
+  EXPECT_LE(stats.planning_cycles, due);
+  EXPECT_GE(stats.planning_cycles + 1, due);
+  EXPECT_GE(stats.planning_cycles, 3u);
+  const auto& records = telemetry.audit.records();
+  ASSERT_EQ(records.size(), stats.planning_cycles);
+  for (size_t k = 0; k < records.size(); ++k) {
+    EXPECT_GE(records[k].sim_time, kInterval * static_cast<double>(k + 1))
+        << "cycle " << k + 1;
+  }
 }
 
 // Batched admission under concurrent producers: whatever the batch size,

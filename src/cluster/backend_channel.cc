@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/deadline.h"
 #include "common/strings.h"
 #include "net/client.h"
 
@@ -59,6 +60,8 @@ BackendChannel::BackendChannel(const BackendAddress& address,
         reg.GetCounter("qsched_cluster_reconnects_total", label);
     cancelled_counter_ = reg.GetCounter(
         "qsched_cluster_cancelled_completions_total", label);
+    ready_hist_ =
+        reg.GetHistogram("qsched_cluster_backend_ready_seconds", label);
   }
 }
 
@@ -109,6 +112,16 @@ void BackendChannel::Forward(RoutedQuery item) {
 }
 
 bool BackendChannel::Usable() const { return usable_.load(); }
+
+void BackendChannel::OnUsableChanged(std::function<void()> fn) {
+  on_usable_changed_ = std::move(fn);
+}
+
+void BackendChannel::SetUsable(bool usable) {
+  if (usable_.exchange(usable) != usable && on_usable_changed_) {
+    on_usable_changed_();
+  }
+}
 
 BackendSnapshot BackendChannel::Snapshot() const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
@@ -213,7 +226,7 @@ void BackendChannel::ThreadLoop() {
   // awaiting a verdict are rejected (never re-routed — the router is
   // stopping too); accepted items get cancelled completions.
   conn_.reset();
-  usable_.store(false);
+  SetUsable(false);
   std::deque<RoutedQuery> leftover;
   {
     std::lock_guard<std::mutex> lock(cmd_mu_);
@@ -232,6 +245,7 @@ void BackendChannel::ThreadLoop() {
 }
 
 void BackendChannel::TryConnect() {
+  connect_started_ = SteadyClock::now();
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     snapshot_.circuit = CircuitState::kHalfOpen;
@@ -249,10 +263,7 @@ void BackendChannel::TryConnect() {
     SetHealth(failures >= tuning_.eject_after_failures
                   ? BackendHealth::kEjected
                   : BackendHealth::kDegraded);
-    next_connect_attempt_ =
-        SteadyClock::now() +
-        std::chrono::duration_cast<SteadyClock::duration>(
-            std::chrono::duration<double>(NextBackoffSeconds()));
+    next_connect_attempt_ = DeadlineAfter(NextBackoffSeconds());
     return;
   }
   conn_.emplace(connected.ValueOrDie());
@@ -277,12 +288,18 @@ void BackendChannel::MarkAlive() {
   }
   current_backoff_seconds_ = 0.0;
   SetHealth(BackendHealth::kHealthy);
-  usable_.store(true);
+  // Recorded before the flip, so a WaitUsable it wakes sees the sample.
+  if (ready_hist_ != nullptr && !usable_.load()) {
+    ready_hist_->Record(std::chrono::duration<double>(SteadyClock::now() -
+                                                      connect_started_)
+                            .count());
+  }
+  SetUsable(true);
 }
 
 void BackendChannel::HandleDisconnect() {
   conn_.reset();
-  usable_.store(false);
+  SetUsable(false);
   outstanding_ping_id_ = 0;
 
   int failures;
@@ -295,10 +312,7 @@ void BackendChannel::HandleDisconnect() {
   SetHealth(failures >= tuning_.eject_after_failures
                 ? BackendHealth::kEjected
                 : BackendHealth::kDegraded);
-  next_connect_attempt_ =
-      SteadyClock::now() +
-      std::chrono::duration_cast<SteadyClock::duration>(
-          std::chrono::duration<double>(NextBackoffSeconds()));
+  next_connect_attempt_ = DeadlineAfter(NextBackoffSeconds());
 
   // Queries whose verdict is still pending were never admitted anywhere:
   // hand them back for re-routing (failover). Accepted queries may still
@@ -404,9 +418,7 @@ void BackendChannel::MaybeProbe() {
   ping.type = net::FrameType::kPing;
   ping.request_id = next_request_id_++;
   outstanding_ping_id_ = ping.request_id;
-  probe_deadline_ =
-      now + std::chrono::duration_cast<SteadyClock::duration>(
-                std::chrono::duration<double>(tuning_.probe_timeout_seconds));
+  probe_deadline_ = DeadlineAfter(tuning_.probe_timeout_seconds, now);
   conn_->Send(ping);
   net::Frame stats;
   stats.type = net::FrameType::kStats;

@@ -90,6 +90,12 @@ class BackendChannel {
   /// the circuit closed.
   bool Usable() const;
 
+  /// Registers `fn` to run on the channel thread, holding no channel
+  /// lock, each time Usable() changes: on the PONG that closes the
+  /// circuit, on a disconnect and when the thread exits. Call before
+  /// Start().
+  void OnUsableChanged(std::function<void()> fn);
+
   BackendSnapshot Snapshot() const;
 
   /// Test hook: pins the stats part of the snapshot (queue depth +
@@ -123,6 +129,8 @@ class BackendChannel {
   /// Marks the backend alive: failures reset, circuit closes (from
   /// half-open), health returns to healthy.
   void MarkAlive();
+  /// Stores Usable() and runs the OnUsableChanged callback if it flipped.
+  void SetUsable(bool usable);
   void SetHealth(BackendHealth health);
   double NextBackoffSeconds();
 
@@ -130,8 +138,10 @@ class BackendChannel {
   BackendTuning tuning_;
   int index_;
   FailoverFn on_failover_;
+  std::function<void()> on_usable_changed_;
   obs::Telemetry* telemetry_;
   obs::Gauge* health_gauge_ = nullptr;
+  obs::Histogram* ready_hist_ = nullptr;
   obs::Counter* reconnects_counter_ = nullptr;
   obs::Counter* cancelled_counter_ = nullptr;
 
@@ -155,6 +165,9 @@ class BackendChannel {
   Rng jitter_rng_;
   double current_backoff_seconds_ = 0.0;
   SteadyClock::time_point next_connect_attempt_{};
+  /// Start of the current connection's connect attempt; the PONG that
+  /// makes it usable records the gap in ready_hist_.
+  SteadyClock::time_point connect_started_{};
   SteadyClock::time_point last_probe_{};
   uint64_t outstanding_ping_id_ = 0;  // 0 = none
   SteadyClock::time_point probe_deadline_{};

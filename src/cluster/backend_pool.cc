@@ -1,9 +1,9 @@
 #include "cluster/backend_pool.h"
 
-#include <chrono>
 #include <limits>
-#include <thread>
 #include <utility>
+
+#include "common/deadline.h"
 
 namespace qsched::cluster {
 
@@ -15,6 +15,12 @@ BackendPool::BackendPool(const std::vector<BackendAddress>& addresses,
   for (size_t i = 0; i < addresses.size(); ++i) {
     channels_.push_back(std::make_unique<BackendChannel>(
         addresses[i], tuning, static_cast<int>(i), on_failover, telemetry));
+    // Notifying under the lock closes the gap between a waiter's
+    // predicate check and its block: the flip cannot land unseen.
+    channels_.back()->OnUsableChanged([this] {
+      std::lock_guard<std::mutex> lock(ready_mu_);
+      ready_cv_.notify_all();
+    });
   }
   if (telemetry != nullptr) {
     score_hist_ =
@@ -75,22 +81,24 @@ std::vector<BackendSnapshot> BackendPool::Snapshots() const {
   return out;
 }
 
+size_t BackendPool::CountUsable() const {
+  size_t usable = 0;
+  for (const auto& channel : channels_) {
+    if (channel->Usable()) ++usable;
+  }
+  return usable;
+}
+
 size_t BackendPool::WaitUsable(size_t min_usable,
                                double timeout_seconds) const {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_seconds));
-  while (true) {
-    size_t usable = 0;
-    for (const auto& channel : channels_) {
-      if (channel->Usable()) ++usable;
-    }
-    if (usable >= min_usable || std::chrono::steady_clock::now() >= deadline) {
-      return usable;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  const SteadyTime deadline = DeadlineAfter(timeout_seconds);
+  std::unique_lock<std::mutex> lock(ready_mu_);
+  size_t usable = 0;
+  ready_cv_.wait_until(lock, deadline, [&] {
+    usable = CountUsable();
+    return usable >= min_usable;
+  });
+  return usable;
 }
 
 }  // namespace qsched::cluster

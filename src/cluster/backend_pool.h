@@ -1,7 +1,9 @@
 #ifndef QSCHED_CLUSTER_BACKEND_POOL_H_
 #define QSCHED_CLUSTER_BACKEND_POOL_H_
 
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "cluster/backend.h"
@@ -42,13 +44,22 @@ class BackendPool {
   std::vector<BackendSnapshot> Snapshots() const;
 
   /// Blocks until at least `min_usable` backends are usable or the
-  /// timeout elapses. Returns the usable count at exit.
+  /// timeout elapses (+inf waits without bound). Returns the usable
+  /// count at exit. Woken by the channels, not polled.
   size_t WaitUsable(size_t min_usable, double timeout_seconds) const;
 
   size_t size() const { return channels_.size(); }
   BackendChannel* channel(size_t i) { return channels_[i].get(); }
 
  private:
+  size_t CountUsable() const;
+
+  // Readiness wakeups: a channel thread locks ready_mu_ and notifies
+  // ready_cv_ after its Usable() flips. Declared before channels_ so they
+  // outlive every channel thread, which may still signal as it exits
+  // during the pool's destruction.
+  mutable std::mutex ready_mu_;
+  mutable std::condition_variable ready_cv_;
   std::vector<std::unique_ptr<BackendChannel>> channels_;
   obs::Histogram* score_hist_ = nullptr;
 };

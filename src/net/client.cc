@@ -14,6 +14,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/deadline.h"
 #include "common/rng.h"
 #include "common/strings.h"
 
@@ -81,21 +82,16 @@ Result<int> ConnectFd(const std::string& host, uint16_t port,
     // Bounded connect in flight: wait for writability, then read the
     // outcome from SO_ERROR — poll() success alone does not mean the
     // handshake succeeded (a refused connect is also "writable").
-    const auto deadline =
-        SteadyClock::now() +
-        std::chrono::duration_cast<SteadyClock::duration>(
-            std::chrono::duration<double>(connect_timeout_seconds));
+    const SteadyTime deadline = DeadlineAfter(connect_timeout_seconds);
     while (true) {
-      const double remaining =
-          std::chrono::duration<double>(deadline - SteadyClock::now())
-              .count();
-      if (remaining <= 0.0) {
+      const SteadyTime now = SteadyClock::now();
+      if (now >= deadline) {
         return fail(Status::Internal(
             StrPrintf("connect %s:%s: timed out after %.3fs", host.c_str(),
                       port_str.c_str(), connect_timeout_seconds)));
       }
       pollfd pfd{fd, POLLOUT, 0};
-      int prc = poll(&pfd, 1, static_cast<int>(remaining * 1000.0) + 1);
+      int prc = poll(&pfd, 1, PollTimeoutMs(deadline, now));
       if (prc < 0) {
         if (errno == EINTR) continue;
         return fail(

@@ -28,7 +28,8 @@ namespace qsched::net {
 /// or blackholed address fails with DeadlineExceeded after the timeout
 /// instead of hanging for the kernel's minutes-long default — which is
 /// what the cluster layer's backend prober needs to notice a downed
-/// backend quickly. `<= 0` keeps the old fully-blocking behavior.
+/// backend quickly. `<= 0` keeps the old fully-blocking behavior; +inf
+/// waits without bound.
 Result<int> ConnectFd(const std::string& host, uint16_t port,
                       double connect_timeout_seconds = 0.0);
 

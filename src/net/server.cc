@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/deadline.h"
 #include "common/strings.h"
 
 namespace qsched::net {
@@ -159,11 +160,8 @@ void Server::Stop() {
   WakeupAll();
   {
     std::unique_lock<std::mutex> lock(lifecycle_mu_);
-    bool drained = lifecycle_cv_.wait_for(
-        lock,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::duration<double>(
-                options_.stop_drain_timeout_seconds)),
+    bool drained = lifecycle_cv_.wait_until(
+        lock, DeadlineAfter(options_.stop_drain_timeout_seconds),
         [this] { return reactors_done_ == reactors_.size(); });
     if (!drained) {
       force_stop_.store(true);

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/deadline.h"
 #include "common/strings.h"
 
 namespace qsched::rt {
@@ -242,10 +243,8 @@ void Gateway::Drain() {
 }
 
 bool Gateway::WaitIdle(double timeout_wall_seconds) {
+  const SteadyTime deadline = DeadlineAfter(timeout_wall_seconds);
   std::unique_lock<std::mutex> lock(idle_mu_);
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::duration<double>(timeout_wall_seconds));
   return idle_cv_.wait_until(lock, deadline, [this] {
     return completed_.load(std::memory_order_acquire) >=
            admitted_.load(std::memory_order_acquire);

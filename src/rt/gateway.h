@@ -114,8 +114,8 @@ class Gateway {
   void Drain();
 
   /// Blocks until every admitted query has completed (requires the clock
-  /// thread to be running) or the wall timeout expires. Returns true when
-  /// fully idle. Call after Drain().
+  /// thread to be running) or the wall timeout expires (+inf waits
+  /// without bound). Returns true when fully idle. Call after Drain().
   bool WaitIdle(double timeout_wall_seconds);
 
   /// Observer invoked (on the completion thread) for every finished

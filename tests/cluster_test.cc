@@ -1,7 +1,8 @@
 // Cluster-layer tests: SLO-aware routing across loopback backends,
 // failover on backend death with zero lost COMPLETEDs, the per-backend
 // circuit breaker lifecycle, a channel that cannot create its wakeup
-// pipe, and attainment-deficit rerouting. These
+// pipe, attainment-deficit rerouting, and the pool's readiness wait
+// (woken by the channels, bounded by its timeout). These
 // run in the TSan and ASan gates (tests/CMakeLists.txt): the router's
 // callbacks cross the front reactors, the channel threads and the
 // backends' completion threads, so the handoffs are checked for races
@@ -14,8 +15,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,6 +108,29 @@ bool WaitFor(const std::function<bool()>& cond, double timeout_seconds) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return cond();
+}
+
+/// A loopback port nothing listens on (bound, read back, released).
+uint16_t UnusedPort() {
+  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  EXPECT_EQ(bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  socklen_t len = sizeof(addr);
+  EXPECT_EQ(getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  close(fd);
+  return ntohs(addr.sin_port);
+}
+
+void RejectFailover(RoutedQuery item, BackendChannel*) {
+  item.on_verdict(false, rt::RejectReason::kBackendUnavailable);
+}
+
+double SecondsSince(steady_clock::time_point start) {
+  return std::chrono::duration<double>(steady_clock::now() - start).count();
 }
 
 TEST(ClusterTest, RejectReasonAndStateStrings) {
@@ -474,6 +500,102 @@ TEST(ClusterTest, SloDeficitShiftsRouting) {
 
   router.Stop();
   EXPECT_TRUE(router.ConservationHolds());
+}
+
+// A waiter blocked before any backend listens is woken by the PONG
+// that makes the backend usable, long before its 30 s timeout.
+TEST(ClusterTest, WaitUsableWakesWhenABackendComesUp) {
+  const uint16_t port = UnusedPort();
+  BackendPool pool({{"127.0.0.1", port}}, FastTuning(), RejectFailover);
+  ASSERT_TRUE(pool.Start().ok());
+  std::atomic<size_t> usable{0};
+  std::atomic<bool> returned{false};
+  std::thread waiter([&] {
+    usable.store(pool.WaitUsable(1, 30.0));
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load());
+
+  Backend backend(port);
+  const steady_clock::time_point up = steady_clock::now();
+  waiter.join();
+  EXPECT_LT(SecondsSince(up), 2.0);
+  EXPECT_EQ(usable.load(), 1u);
+  pool.Stop();
+}
+
+// An unreachable target honours the timeout and reports the usable
+// count; asking for none returns at once, whatever the timeout.
+TEST(ClusterTest, WaitUsableHonoursItsTimeout) {
+  Backend b0, b1;
+  BackendPool pool({b0.address(), b1.address()}, FastTuning(),
+                   RejectFailover);
+  ASSERT_TRUE(pool.Start().ok());
+  ASSERT_EQ(pool.WaitUsable(2, 5.0), 2u);
+
+  steady_clock::time_point start = steady_clock::now();
+  EXPECT_EQ(pool.WaitUsable(3, 0.2), 2u);
+  const double waited = SecondsSince(start);
+  EXPECT_GE(waited, 0.2);
+  EXPECT_LT(waited, 2.0);
+
+  start = steady_clock::now();
+  EXPECT_EQ(pool.WaitUsable(0, 30.0), 2u);
+  EXPECT_EQ(pool.WaitUsable(0, std::numeric_limits<double>::infinity()),
+            2u);
+  EXPECT_EQ(pool.WaitUsable(2, 0.0), 2u);
+  EXPECT_EQ(pool.WaitUsable(3, -1.0), 2u);
+  EXPECT_LT(SecondsSince(start), 1.0);
+  pool.Stop();
+  EXPECT_EQ(pool.WaitUsable(0, 30.0), 0u);
+}
+
+// An infinite timeout waits without bound (no overflow into a past
+// deadline) and still returns as soon as the backends answer; each
+// backend's readiness latency is then on /metrics.
+TEST(ClusterTest, InfiniteWaitReturnsOnReadinessAndExportsIt) {
+  Backend b0, b1;
+  obs::Telemetry telemetry;
+  BackendPool pool({b0.address(), b1.address()}, FastTuning(),
+                   RejectFailover, &telemetry);
+  ASSERT_TRUE(pool.Start().ok());
+  const steady_clock::time_point start = steady_clock::now();
+  EXPECT_EQ(pool.WaitUsable(2, std::numeric_limits<double>::infinity()),
+            2u);
+  EXPECT_LT(SecondsSince(start), 5.0);
+
+  std::ostringstream text;
+  telemetry.registry.WritePrometheus(text);
+  const std::string exported = text.str();
+  EXPECT_NE(exported.find("# TYPE qsched_cluster_backend_ready_seconds"),
+            std::string::npos);
+  for (const Backend* backend : {&b0, &b1}) {
+    const std::string label =
+        "backend=\"" + backend->address().ToString() + "\"";
+    obs::Histogram* ready = telemetry.registry.GetHistogram(
+        "qsched_cluster_backend_ready_seconds", label);
+    EXPECT_GE(ready->count(), 1u) << label;
+    EXPECT_GT(ready->min(), 0.0) << label;
+    EXPECT_NE(exported.find("qsched_cluster_backend_ready_seconds_count{" +
+                            label + "} "),
+              std::string::npos)
+        << label;
+  }
+  pool.Stop();
+}
+
+// A pool destroyed without Stop() while connected: the channel threads
+// signal readiness as they exit, into waiter state that must still be
+// alive (checked by the ASan gate).
+TEST(ClusterTest, PoolDestroyedWithoutStopWhileConnected) {
+  Backend b0, b1;
+  {
+    BackendPool pool({b0.address(), b1.address()}, FastTuning(),
+                     RejectFailover);
+    ASSERT_TRUE(pool.Start().ok());
+    ASSERT_EQ(pool.WaitUsable(2, 5.0), 2u);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <climits>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -330,6 +334,50 @@ TEST(LoggingTest, LinePrefixCarriesLevelAndLocation) {
 
 TEST(LoggingTest, CheckPassesOnTrue) {
   QSCHED_CHECK(1 + 1 == 2) << "never printed";
+}
+
+TEST(DeadlineTest, FiniteSpansAddToNow) {
+  const SteadyTime now = std::chrono::steady_clock::now();
+  EXPECT_EQ(DeadlineAfter(1.5, now), now + std::chrono::milliseconds(1500));
+  EXPECT_EQ(DeadlineAfter(1e-9, now), now + std::chrono::nanoseconds(1));
+}
+
+TEST(DeadlineTest, NonPositiveOrNanChecksOnce) {
+  const SteadyTime now = std::chrono::steady_clock::now();
+  EXPECT_EQ(DeadlineAfter(0.0, now), now);
+  EXPECT_EQ(DeadlineAfter(-3.0, now), now);
+  EXPECT_EQ(DeadlineAfter(-std::numeric_limits<double>::infinity(), now),
+            now);
+  EXPECT_EQ(DeadlineAfter(std::nan(""), now), now);
+}
+
+TEST(DeadlineTest, InfinityAndSpansPastTheClockSaturate) {
+  const SteadyTime now = std::chrono::steady_clock::now();
+  EXPECT_EQ(DeadlineAfter(std::numeric_limits<double>::infinity(), now),
+            SteadyTime::max());
+  EXPECT_EQ(DeadlineAfter(1e300, now), SteadyTime::max());
+  // Just past 2^63 ns, the first span whose tick count overflows.
+  EXPECT_EQ(DeadlineAfter(9.3e9, now), SteadyTime::max());
+  // The headroom left on the clock, rounded through seconds, lands at
+  // (or a few ticks short of) its largest instant without overflowing.
+  const double headroom =
+      std::chrono::duration<double>(SteadyTime::max() - now).count();
+  EXPECT_GE(DeadlineAfter(headroom, now),
+            SteadyTime::max() - std::chrono::milliseconds(1));
+  EXPECT_EQ(DeadlineAfter(1.0, SteadyTime::max()), SteadyTime::max());
+  EXPECT_EQ(DeadlineAfter(9.2e9, SteadyTime{}),
+            SteadyTime{} + std::chrono::seconds(9200000000LL));
+}
+
+TEST(DeadlineTest, PollTimeoutRoundsUpAndClamps) {
+  const SteadyTime now = std::chrono::steady_clock::now();
+  EXPECT_EQ(PollTimeoutMs(SteadyTime::max(), now), -1);
+  EXPECT_EQ(PollTimeoutMs(now, now), 0);
+  EXPECT_EQ(PollTimeoutMs(now - std::chrono::seconds(1), now), 0);
+  EXPECT_EQ(PollTimeoutMs(now + std::chrono::microseconds(1), now), 1);
+  EXPECT_EQ(PollTimeoutMs(now + std::chrono::microseconds(2500), now), 3);
+  EXPECT_EQ(PollTimeoutMs(now + std::chrono::hours(24 * 365), now),
+            INT_MAX);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -607,6 +608,19 @@ TEST(RtRuntimeTest, OfferReportsRejectReason) {
                            "reason=\"shutting_down\"")
                 ->value(),
             2u);
+}
+
+// An idle gateway is idle at once, also when told to wait without
+// bound: +inf must not overflow into a past (or UB) deadline.
+TEST(RtRuntimeTest, WaitIdleWithoutBoundOnAnIdleGateway) {
+  WallClock clock(WallClock::Options{/*time_scale=*/1.0});
+  BlackholeFrontend frontend;
+  Gateway gateway(&clock, &frontend, GatewayOptions{});
+  gateway.Drain();
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(gateway.WaitIdle(std::numeric_limits<double>::infinity()));
+  EXPECT_TRUE(gateway.WaitIdle(0.0));
+  EXPECT_LT(WallSecondsSince(start), 1.0);
 }
 
 // The per-query completion hook fires exactly once per accepted query,

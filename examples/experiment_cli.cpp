@@ -114,6 +114,9 @@ int main(int argc, char** argv) {
                       !audit_out.empty() || !timeseries_csv.empty() ||
                       !predictions_csv.empty() || !report_html.empty();
   if (telemetry_on) config.telemetry = &telemetry;
+  // Per-query spans cost a table entry per query in flight and a log
+  // entry per query served; record them only for the trace export.
+  if (!trace_out.empty()) telemetry.spans.Enable();
 
   int replications = static_cast<int>(flags.GetInt("replications", 1));
   int jobs = static_cast<int>(flags.GetInt("jobs", 1));

@@ -70,10 +70,10 @@ struct ExperimentConfig {
 
   /// Telemetry sink (nullptr = observability off, the default). When set,
   /// the engine, client pools and (for the Query Scheduler controllers)
-  /// the whole control loop record metrics, per-query spans and planner
-  /// audit records into it; RunExperiment also copies a final registry
-  /// snapshot into ExperimentResult::metric_snapshot. Must outlive the
-  /// run.
+  /// the whole control loop record metrics, planner audit records and
+  /// (if its SpanLog is enabled) per-query spans into it; RunExperiment
+  /// also copies a final registry snapshot into
+  /// ExperimentResult::metric_snapshot. Must outlive the run.
   obs::Telemetry* telemetry = nullptr;
 
   /// Overrides; default to the paper's Figure 3 schedule / classes.

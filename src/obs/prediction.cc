@@ -48,9 +48,9 @@ void PredictionLedger::Observe(uint64_t interval, int class_id,
   record->observed = observed;
   record->resolved = true;
   pending_.erase(it);
-  double error = observed - record->predicted;
-  abs_errors_[class_id].push_back(std::abs(error));
-  signed_error_sum_[class_id] += error;
+  std::deque<double>& errors = errors_[class_id];
+  if (errors.size() >= capacity_) errors.pop_front();
+  errors.push_back(observed - record->predicted);
 }
 
 size_t PredictionLedger::size() const {
@@ -71,14 +71,20 @@ std::vector<PredictionRecord> PredictionLedger::Records() const {
 ResidualStats PredictionLedger::StatsFor(int class_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   ResidualStats stats;
-  auto it = abs_errors_.find(class_id);
-  if (it == abs_errors_.end() || it->second.empty()) return stats;
-  const std::vector<double>& errors = it->second;
+  auto it = errors_.find(class_id);
+  if (it == errors_.end() || it->second.empty()) return stats;
+  const std::deque<double>& errors = it->second;
   stats.count = errors.size();
-  double sum = 0.0;
-  for (double e : errors) sum += e;
-  stats.mean_abs_error = sum / static_cast<double>(errors.size());
-  std::vector<double> sorted = errors;
+  std::vector<double> sorted;
+  sorted.reserve(errors.size());
+  double abs_sum = 0.0;
+  double signed_sum = 0.0;
+  for (double e : errors) {
+    sorted.push_back(std::abs(e));
+    abs_sum += sorted.back();
+    signed_sum += e;
+  }
+  stats.mean_abs_error = abs_sum / static_cast<double>(errors.size());
   std::sort(sorted.begin(), sorted.end());
   // Exact p95 with linear interpolation between order statistics.
   double rank = 0.95 * static_cast<double>(sorted.size() - 1);
@@ -86,8 +92,7 @@ ResidualStats PredictionLedger::StatsFor(int class_id) const {
   size_t hi = std::min(lo + 1, sorted.size() - 1);
   double frac = rank - static_cast<double>(lo);
   stats.p95_abs_error = sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-  stats.bias = signed_error_sum_.at(class_id) /
-               static_cast<double>(errors.size());
+  stats.bias = signed_sum / static_cast<double>(errors.size());
   return stats;
 }
 

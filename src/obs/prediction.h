@@ -33,7 +33,8 @@ struct PredictionRecord {
   double model_slope = 0.0;
 };
 
-/// Running residual summary for one class, over resolved records.
+/// Residual summary for one class, over its most recent resolved
+/// records (at most the ledger's capacity of them).
 struct ResidualStats {
   uint64_t count = 0;
   /// mean |observed - predicted|.
@@ -46,7 +47,8 @@ struct ResidualStats {
 
 /// The prediction-vs-actual ledger: every per-class model prediction the
 /// planner makes, matched against the next interval's measurement, with
-/// running residual statistics. Thread-safe; bounded (drop-oldest).
+/// residual statistics over the latest `capacity` resolved predictions
+/// per class. Thread-safe; bounded (drop-oldest).
 class PredictionLedger {
  public:
   explicit PredictionLedger(size_t capacity = 1 << 16);
@@ -88,9 +90,9 @@ class PredictionLedger {
   /// class_id -> index of the pending (unresolved) record, tracked by
   /// value identity via the record's target_interval.
   std::map<int, PredictionRecord*> pending_;
-  /// Resolved absolute/signed errors per class, for exact percentiles.
-  std::map<int, std::vector<double>> abs_errors_;
-  std::map<int, double> signed_error_sum_;
+  /// Signed errors (observed - predicted) of the latest resolved
+  /// predictions per class, oldest first, for exact percentiles.
+  std::map<int, std::deque<double>> errors_;
   uint64_t dropped_ = 0;
 };
 

@@ -40,6 +40,9 @@ void SloMonitor::Observe(int class_id, uint64_t interval, double sim_time,
   for (bool m : state.recent_met) {
     if (m) ++met_in_window;
   }
+  if (state.attainment_series.size() >= kSeriesCapacity) {
+    state.attainment_series.pop_front();
+  }
   state.attainment_series.emplace_back(
       sim_time, static_cast<double>(met_in_window) /
                     static_cast<double>(state.recent_met.size()));
@@ -141,7 +144,8 @@ std::vector<std::pair<double, double>> SloMonitor::AttainmentSeries(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = classes_.find(class_id);
   if (it == classes_.end()) return {};
-  return it->second.attainment_series;
+  return {it->second.attainment_series.begin(),
+          it->second.attainment_series.end()};
 }
 
 void SloMonitor::WriteEventsJsonl(std::ostream& out) const {

@@ -40,6 +40,10 @@ std::string ToJson(const SloViolationEvent& event);
 /// Thread-safe.
 class SloMonitor {
  public:
+  /// Points kept per class in the attainment series (drop-oldest), the
+  /// capacity the audit, time-series and ledger logs use too.
+  static constexpr size_t kSeriesCapacity = 1 << 16;
+
   struct Options {
     /// Rolling attainment window, in control intervals.
     int window = 10;
@@ -72,7 +76,8 @@ class SloMonitor {
   std::vector<SloViolationEvent> EventsFor(int class_id) const;
 
   /// (sim_time, rolling attainment) trajectory per class, one point per
-  /// observation — the SLO-attainment chart series.
+  /// observation (the last kSeriesCapacity of them) — the SLO-attainment
+  /// chart series.
   std::vector<std::pair<double, double>> AttainmentSeries(
       int class_id) const;
 
@@ -85,7 +90,7 @@ class SloMonitor {
     std::deque<bool> recent_met;
     uint64_t observed = 0;
     uint64_t met = 0;
-    std::vector<std::pair<double, double>> attainment_series;
+    std::deque<std::pair<double, double>> attainment_series;
     bool violating = false;
     SloViolationEvent current;
   };

@@ -11,6 +11,7 @@ SpanLog::SpanLog(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void SpanLog::OnSubmit(uint64_t query_id, int class_id, bool is_oltp,
                        double now) {
+  if (!enabled_) return;
   QuerySpan span;
   span.query_id = query_id;
   span.class_id = class_id;

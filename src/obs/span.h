@@ -31,12 +31,22 @@ struct QuerySpan {
 /// query id; completion/cancellation closes the span into a bounded log
 /// (drop-oldest, with a dropped counter). Transition calls for unknown
 /// ids are ignored, so partially instrumented paths degrade gracefully.
+///
+/// Recording is opt-in: until a reader calls Enable(), every transition
+/// is a no-op and the log holds no per-query state, so a live server
+/// that never exports a trace keeps nothing once a query completes (its
+/// per-query timing is obs::QueryStageTrace / qsched_stage_seconds
+/// instead).
 class SpanLog {
  public:
   explicit SpanLog(size_t capacity = 1 << 20);
 
   SpanLog(const SpanLog&) = delete;
   SpanLog& operator=(const SpanLog&) = delete;
+
+  /// Starts recording. Call before the first transition: like every
+  /// other method, it is single-writer.
+  void Enable() { enabled_ = true; }
 
   void OnSubmit(uint64_t query_id, int class_id, bool is_oltp, double now);
   void OnClassify(uint64_t query_id, double now);
@@ -67,6 +77,7 @@ class SpanLog {
   void Close(uint64_t query_id, double end, bool cancelled);
 
   size_t capacity_;
+  bool enabled_ = false;
   std::unordered_map<uint64_t, QuerySpan> open_;
   std::deque<QuerySpan> closed_;
   uint64_t closed_total_ = 0;

@@ -11,9 +11,9 @@
 namespace qsched::obs {
 
 /// The observability pillars bundled as one injectable unit: the raw
-/// plumbing (metrics registry, per-query spans, planner audit log) plus
-/// the derived analytics layer (per-interval time-series table,
-/// prediction-vs-actual ledger, SLO attainment monitor). Components
+/// plumbing (metrics registry, opt-in per-query spans, planner audit
+/// log) plus the derived analytics layer (per-interval time-series
+/// table, prediction-vs-actual ledger, SLO attainment monitor). Components
 /// accept a `Telemetry*` (nullptr by default = telemetry off;
 /// instrumented call sites guard on the pointer, so a disabled run pays
 /// nothing but the branch). The owner — typically the experiment driver —

@@ -3,6 +3,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/deadline.h"
+
 namespace qsched::replay {
 
 namespace {
@@ -104,13 +106,11 @@ void TraceRecorder::Record(const workload::Query& query) {
 }
 
 void TraceRecorder::WriterLoop() {
-  const auto interval = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(options_.flush_interval_seconds));
   std::unique_lock<std::mutex> lock(writer_mu_);
   while (!stop_writer_) {
-    writer_cv_.wait_for(lock, interval,
-                        [this] { return stop_writer_; });
+    writer_cv_.wait_until(lock,
+                          DeadlineAfter(options_.flush_interval_seconds),
+                          [this] { return stop_writer_; });
     if (stop_writer_) break;
     lock.unlock();
     Sweep();

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/deadline.h"
 #include "common/logging.h"
 
 namespace qsched::rt {
@@ -95,16 +96,13 @@ void LoadGenerator::Join() {
 }
 
 void LoadGenerator::Run() {
-  using SteadyClock = std::chrono::steady_clock;
-  const SteadyClock::time_point start = SteadyClock::now();
+  const SteadyTime start = std::chrono::steady_clock::now();
   double t = 0.0;
   uint64_t seq = 0;
   while (t < options_.duration_wall_seconds) {
     t += options_.shape.NextGap(t, options_.qps, &rng_);
     if (t >= options_.duration_wall_seconds) break;
-    std::this_thread::sleep_until(
-        start + std::chrono::duration_cast<SteadyClock::duration>(
-                    std::chrono::duration<double>(t)));
+    std::this_thread::sleep_until(DeadlineAfter(t, start));
 
     size_t pick = rng_.Categorical(weights_);
     const LoadSource& source = sources_[pick];

@@ -64,8 +64,9 @@ struct QuerySchedulerConfig {
   WorkloadDetector::Options detector;
   /// Telemetry sink shared by the scheduler and all its sub-components
   /// (nullptr = observability off, the default). Must outlive the
-  /// scheduler. When set: per-query spans, SLO/cost-limit gauges, and a
-  /// planner audit record per control interval.
+  /// scheduler. When set: SLO/cost-limit gauges, a planner audit record
+  /// per control interval, and per-query spans if the sink's SpanLog is
+  /// enabled.
   obs::Telemetry* telemetry = nullptr;
   qp::InterceptorConfig interceptor;
   SnapshotMonitor::Options snapshot;

@@ -181,6 +181,7 @@ TEST(RegistryTest, PrometheusExpositionFormat) {
 
 TEST(SpanLogTest, FullLifecycleStampsEveryTransition) {
   SpanLog spans;
+  spans.Enable();
   spans.OnSubmit(42, 1, false, 10.0);
   spans.OnClassify(42, 10.0);
   spans.OnEnqueue(42, 10.35);
@@ -209,6 +210,7 @@ TEST(SpanLogTest, FullLifecycleStampsEveryTransition) {
 
 TEST(SpanLogTest, CancelledSpanIsFlagged) {
   SpanLog spans;
+  spans.Enable();
   spans.OnSubmit(7, 2, false, 1.0);
   spans.OnEnqueue(7, 1.35);
   spans.OnCancel(7, 5.0);
@@ -223,6 +225,7 @@ TEST(SpanLogTest, CancelledSpanIsFlagged) {
 
 TEST(SpanLogTest, UnknownIdTransitionsAreNoOps) {
   SpanLog spans;
+  spans.Enable();
   spans.OnClassify(99, 1.0);
   spans.OnEnqueue(99, 1.0);
   spans.OnDispatch(99, 1.0);
@@ -233,8 +236,37 @@ TEST(SpanLogTest, UnknownIdTransitionsAreNoOps) {
   EXPECT_EQ(spans.dropped(), 0u);
 }
 
+TEST(SpanLogTest, RecordsNothingUntilEnabled) {
+  SpanLog spans;
+  spans.OnSubmit(1, 1, false, 1.0);
+  spans.OnClassify(1, 1.0);
+  spans.OnEnqueue(1, 1.35);
+  EXPECT_EQ(spans.open_count(), 0u);
+  EXPECT_EQ(spans.FindOpen(1), nullptr);
+  spans.OnDispatch(1, 2.0);
+  spans.OnComplete(1, 2.0, 3.0);
+  spans.OnSubmit(2, 3, true, 1.5);
+  spans.OnCancel(2, 1.6);
+  EXPECT_EQ(spans.open_count(), 0u);
+  EXPECT_EQ(spans.closed_total(), 0u);
+  EXPECT_TRUE(spans.closed().empty());
+  EXPECT_EQ(spans.dropped(), 0u);
+
+  // A query submitted before Enable() stays unknown afterwards; the
+  // next one is recorded.
+  spans.OnSubmit(3, 1, false, 4.0);
+  spans.Enable();
+  spans.OnComplete(3, 4.0, 5.0);
+  spans.OnSubmit(4, 1, false, 6.0);
+  spans.OnComplete(4, 6.0, 7.0);
+  EXPECT_EQ(spans.closed_total(), 1u);
+  ASSERT_EQ(spans.closed().size(), 1u);
+  EXPECT_EQ(spans.closed().front().query_id, 4u);
+}
+
 TEST(SpanLogTest, DropOldestAtCapacity) {
   SpanLog spans(2);
+  spans.Enable();
   for (uint64_t id = 1; id <= 3; ++id) {
     spans.OnSubmit(id, 1, false, 1.0);
     spans.OnComplete(id, 1.0, 2.0);
@@ -248,6 +280,7 @@ TEST(SpanLogTest, DropOldestAtCapacity) {
 
 TEST(SpanLogTest, ChromeTraceHasTracksSlicesAndMicroseconds) {
   SpanLog spans;
+  spans.Enable();
   // Intercepted OLAP query on class 1.
   spans.OnSubmit(1, 1, false, 1.0);
   spans.OnEnqueue(1, 1.35);
@@ -558,6 +591,25 @@ TEST(PredictionLedgerTest, DropOldestKeepsPendingPointerSafe) {
   EXPECT_EQ(ledger.StatsFor(3).count, 1u);
 }
 
+TEST(PredictionLedgerTest, ResidualErrorsKeepTheLatestCapacity) {
+  constexpr size_t kCapacity = 4;
+  constexpr int kExtra = 3;
+  PredictionLedger ledger(kCapacity);
+  // Error i is i (observed 1 + i against predicted 1), so the oldest
+  // kExtra errors {1, 2, 3} must go and {4, 5, 6, 7} stay.
+  for (int i = 1; i <= static_cast<int>(kCapacity) + kExtra; ++i) {
+    ledger.Predict(static_cast<uint64_t>(i), 7, false, 1.0, 0.0);
+    ledger.Observe(static_cast<uint64_t>(i) + 1, 7, 1.0 + i);
+  }
+  EXPECT_EQ(ledger.size(), kCapacity);
+  const ResidualStats stats = ledger.StatsFor(7);
+  EXPECT_EQ(stats.count, kCapacity);
+  EXPECT_DOUBLE_EQ(stats.mean_abs_error, 5.5);
+  EXPECT_DOUBLE_EQ(stats.bias, 5.5);
+  // rank 0.95*3 = 2.85 -> 6 + 0.85*(7-6).
+  EXPECT_NEAR(stats.p95_abs_error, 6.85, 1e-12);
+}
+
 TEST(PredictionLedgerTest, CsvAndJsonlCarryResolution) {
   PredictionLedger ledger;
   ledger.Predict(5, 1, false, 0.75, 0.0);
@@ -598,6 +650,25 @@ TEST(SloMonitorTest, RollingAndOverallAttainment) {
   EXPECT_DOUBLE_EQ(slo.RollingAttainment(1), 1.0);
   // The attainment series has one point per observation.
   EXPECT_EQ(slo.AttainmentSeries(1).size(), 6u);
+}
+
+TEST(SloMonitorTest, AttainmentSeriesKeepsTheLatestCapacity) {
+  constexpr size_t kExtra = 5;
+  SloMonitor slo;
+  const size_t total = SloMonitor::kSeriesCapacity + kExtra;
+  for (size_t i = 0; i < total; ++i) {
+    slo.Observe(1, i + 1, 60.0 * static_cast<double>(i + 1),
+                i % 2 == 0 ? 1.0 : 0.5);
+  }
+  const std::vector<std::pair<double, double>> series =
+      slo.AttainmentSeries(1);
+  ASSERT_EQ(series.size(), SloMonitor::kSeriesCapacity);
+  // The oldest kExtra points were dropped; the newest is the last one.
+  EXPECT_DOUBLE_EQ(series.front().first, 60.0 * (kExtra + 1));
+  EXPECT_DOUBLE_EQ(series.back().first, 60.0 * static_cast<double>(total));
+  // Counts and the rolling value still cover every observation.
+  EXPECT_EQ(slo.intervals_observed(1), total);
+  EXPECT_DOUBLE_EQ(slo.RollingAttainment(1), series.back().second);
 }
 
 TEST(SloMonitorTest, ViolationEventsTrackRunsAndDepth) {
@@ -890,6 +961,7 @@ TEST_F(SchedulerAuditTest, DerivedAnalyticsStayConsistentWithAudit) {
 
 TEST_F(SchedulerAuditTest, SpansCoverInterceptedAndBypassedQueries) {
   Telemetry telemetry;
+  telemetry.spans.Enable();
   // The engine is shared infrastructure: the harness (not the
   // scheduler) owns its telemetry wiring.
   engine_.set_telemetry(&telemetry);
@@ -938,6 +1010,7 @@ TEST_F(SchedulerAuditTest, SpansCoverInterceptedAndBypassedQueries) {
 
 TEST_F(SchedulerAuditTest, CancelledQueryClosesSpanAsCancelled) {
   Telemetry telemetry;
+  telemetry.spans.Enable();
   sched::QuerySchedulerConfig config;
   config.telemetry = &telemetry;
   sched::QueryScheduler qs(&simulator_, &engine_, &classes_, config);

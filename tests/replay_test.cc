@@ -8,10 +8,12 @@
 // The concurrent cases run in the TSan and ASan gates (see
 // tests/CMakeLists.txt).
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -507,6 +509,43 @@ TEST(ReplayTest, RecordAfterStopCountsDropped) {
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.ValueOrDie().records.size(), 1u);
   std::remove(path.c_str());
+}
+
+// A flush interval of +inf, or one too long for the clock's ticks,
+// means "sweep only at Stop": the writer waits without bound instead of
+// overflowing a double -> tick conversion, and Stop still wakes it at
+// once and writes everything captured.
+TEST(ReplayTest, UnboundedFlushIntervalStopsPromptly) {
+  for (double interval : {std::numeric_limits<double>::infinity(), 1e300}) {
+    const std::string path = TempPath("unbounded_flush.bin");
+    RecorderOptions options;
+    options.writer.path = path;
+    options.flush_interval_seconds = interval;
+    TraceRecorder recorder(options);
+    ASSERT_TRUE(recorder.Start().ok());
+    workload::TpccWorkload gen(workload::TpccWorkloadParams{}, 6);
+    constexpr uint64_t kOffered = 200;
+    for (uint64_t i = 0; i < kOffered; ++i) {
+      workload::Query query = gen.Next();
+      query.class_id = 3;
+      query.id = i + 1;
+      recorder.Record(query);
+    }
+    const auto stop_start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(recorder.Stop().ok()) << "interval " << interval;
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - stop_start)
+                  .count(),
+              5.0)
+        << "interval " << interval;
+    EXPECT_EQ(recorder.captured() + recorder.dropped(), kOffered)
+        << "interval " << interval;
+    Result<TraceReadResult> read = ReadTraceChain(path);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(read.ValueOrDie().records.size(), recorder.captured())
+        << "interval " << interval;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ReplayTest, ReplayLoopbackConservation) {

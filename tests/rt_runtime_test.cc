@@ -610,6 +610,55 @@ TEST(RtRuntimeTest, OfferReportsRejectReason) {
             2u);
 }
 
+// A live runtime with telemetry attached keeps no per-query state once
+// its queries complete: nothing reads spans here, so none are recorded,
+// neither open nor closed, however many queries went through.
+TEST(RtRuntimeTest, LiveTelemetryKeepsNoPerQueryState) {
+  obs::Telemetry telemetry;
+  RuntimeOptions options;
+  options.time_scale = 6000.0;
+  options.gateway.workers = 2;
+  options.telemetry = &telemetry;
+  Runtime runtime(sched::MakePaperClasses(), options);
+  std::atomic<uint64_t> completed{0};
+  runtime.gateway().set_on_complete(
+      [&](const workload::QueryRecord&) { completed.fetch_add(1); });
+  runtime.Start();
+
+  // Mostly OLTP with an intercepted OLAP query every 20th, so both the
+  // bypass and the interceptor's enqueue/dispatch transitions run.
+  workload::TpchWorkloadParams tpch;
+  tpch.scale_factor = 0.1;
+  workload::TpchWorkload olap(tpch, /*seed=*/3);
+  workload::TpccWorkload oltp(workload::TpccWorkloadParams{}, /*seed=*/4);
+  constexpr int kQueries = 5000;
+  for (int i = 0; i < kQueries; ++i) {
+    const bool is_olap = i % 20 == 0;
+    workload::Query query = is_olap ? olap.Next() : oltp.Next();
+    query.class_id = is_olap ? 1 + (i / 20) % 2 : 3;
+    query.client_id = i % 8;
+    ASSERT_TRUE(runtime.gateway().Submit(std::move(query)));
+  }
+  runtime.gateway().Drain();
+  ASSERT_TRUE(runtime.gateway().WaitIdle(/*timeout_wall_seconds=*/120.0));
+  EXPECT_EQ(completed.load(), static_cast<uint64_t>(kQueries));
+
+  runtime.clock().Run([&telemetry] {
+    EXPECT_EQ(telemetry.spans.open_count(), 0u);
+    EXPECT_EQ(telemetry.spans.closed_total(), 0u);
+    EXPECT_TRUE(telemetry.spans.closed().empty());
+  });
+  // The run did flow through the instrumented scheduler.
+  EXPECT_EQ(telemetry.registry.GetCounter("qsched_qp_intercepted_total")
+                ->value(),
+            static_cast<uint64_t>(kQueries / 20));
+
+  Runtime::Stats stats =
+      runtime.Shutdown(/*drain_timeout_wall_seconds=*/60.0);
+  EXPECT_TRUE(stats.drained);
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(kQueries));
+}
+
 // An idle gateway is idle at once, also when told to wait without
 // bound: +inf must not overflow into a past (or UB) deadline.
 TEST(RtRuntimeTest, WaitIdleWithoutBoundOnAnIdleGateway) {

@@ -4,8 +4,9 @@
 # with --mode=netload at >= 1000 submissions/s over loopback, and while
 # the load is running scrapes GET /metrics, /varz, /healthz and
 # /statusz. Checks:
-#   - /metrics is valid Prometheus text exposition (python3 checker)
-#     and carries qsched_stage_seconds for >= 3 distinct stages;
+#   - /metrics is valid Prometheus text exposition (python3 checker),
+#     carries qsched_stage_seconds for >= 3 distinct stages, and the
+#     process's resident and peak resident bytes, both > 0;
 #   - /healthz answers 200 "accepting" while intake is open;
 #   - /statusz is a self-contained HTML page with the latency-breakdown
 #     section;
@@ -159,6 +160,12 @@ for name in families_seen:
 if len(stages) < 3:
     sys.exit(f"http_obs_smoke: only stages {sorted(stages)} in "
              "qsched_stage_seconds, need >= 3")
+for name in ("qsched_process_resident_bytes",
+             "qsched_process_peak_resident_bytes"):
+    values = [float(line.split()[1]) for line in lines
+              if line.startswith(name + " ")]
+    if not values or values[0] <= 0:
+        sys.exit(f"http_obs_smoke: {name} missing or not > 0: {values}")
 print(f"http_obs_smoke: exposition OK, stages: {sorted(stages)}")
 PYEOF
 

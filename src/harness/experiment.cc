@@ -322,7 +322,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config,
         result.interval_attainment[id] =
             config.telemetry->slo.OverallAttainment(id);
         result.slo_violation_events[id] =
-            static_cast<int>(config.telemetry->slo.EventsFor(id).size());
+            static_cast<int>(config.telemetry->slo.EventCount(id));
         result.prediction_residuals[id] =
             config.telemetry->ledger.StatsFor(id);
       }

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -307,14 +308,39 @@ bool HttpServer::FlushConnection(Connection* conn) {
   return false;  // fully flushed; HTTP/1.0 close-after-response
 }
 
+namespace {
+
+/// Sets `rss` and `peak` to this process's resident and peak resident
+/// bytes (VmRSS, VmHWM); leaves them untouched when unreadable.
+void RefreshProcessMemory(Gauge* rss, Gauge* peak) {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return;
+  char line[256];
+  double kb = 0.0;
+  while (std::fgets(line, sizeof(line), status) != nullptr) {
+    if (std::sscanf(line, "VmRSS: %lf kB", &kb) == 1) {
+      rss->Set(kb * 1024.0);
+    } else if (std::sscanf(line, "VmHWM: %lf kB", &kb) == 1) {
+      peak->Set(kb * 1024.0);
+    }
+  }
+  std::fclose(status);
+}
+
+}  // namespace
+
 void InstallRegistryHandlers(HttpServer* server, Registry* registry) {
-  server->AddHandler("/metrics", [registry] {
+  Gauge* rss = registry->GetGauge("qsched_process_resident_bytes");
+  Gauge* peak = registry->GetGauge("qsched_process_peak_resident_bytes");
+  server->AddHandler("/metrics", [registry, rss, peak] {
+    RefreshProcessMemory(rss, peak);
     std::ostringstream out;
     registry->WritePrometheus(out);
     return HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
                         out.str()};
   });
-  server->AddHandler("/varz", [registry] {
+  server->AddHandler("/varz", [registry, rss, peak] {
+    RefreshProcessMemory(rss, peak);
     std::ostringstream out;
     registry->WriteVarzJson(out);
     return HttpResponse{200, "application/json", out.str()};

@@ -126,7 +126,10 @@ class Registry;
 
 /// Registers the two registry endpoints against a live registry (which
 /// must outlive the server): GET /metrics — Prometheus text exposition —
-/// and GET /varz — the registry's JSON dump.
+/// and GET /varz — the registry's JSON dump. Each scrape first refreshes
+/// the gauges qsched_process_resident_bytes and
+/// qsched_process_peak_resident_bytes from VmRSS / VmHWM in
+/// /proc/self/status (left at 0 where that file does not exist).
 void InstallRegistryHandlers(HttpServer* server, Registry* registry);
 
 /// Registers GET /healthz: `state_fn` reports the serving state

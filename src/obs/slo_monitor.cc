@@ -66,6 +66,11 @@ void SloMonitor::Observe(int class_id, uint64_t interval, double sim_time,
   } else if (state.violating) {
     state.violating = false;
     state.current.open = false;
+    ++state.closed_events;
+    if (closed_.size() >= kSeriesCapacity) {
+      closed_.pop_front();
+      ++events_dropped_;
+    }
     closed_.push_back(state.current);
   }
 }
@@ -103,8 +108,20 @@ std::vector<int> SloMonitor::ObservedClasses() const {
   return ids;
 }
 
+uint64_t SloMonitor::EventCount(int class_id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = classes_.find(class_id);
+  if (it == classes_.end()) return 0;
+  return it->second.closed_events + (it->second.violating ? 1 : 0);
+}
+
+uint64_t SloMonitor::events_dropped() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return events_dropped_;
+}
+
 std::vector<SloViolationEvent> SloMonitor::EventsLocked() const {
-  std::vector<SloViolationEvent> events = closed_;
+  std::vector<SloViolationEvent> events(closed_.begin(), closed_.end());
   for (const auto& [class_id, state] : classes_) {
     if (state.violating) {
       SloViolationEvent open_event = state.current;

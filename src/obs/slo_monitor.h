@@ -70,10 +70,16 @@ class SloMonitor {
   /// Ids of every class with at least one observation, ascending.
   std::vector<int> ObservedClasses() const;
 
-  /// Closed events plus the open one (if any), oldest first.
+  /// The last kSeriesCapacity closed events (across classes) plus each
+  /// class's open one, oldest first.
   std::vector<SloViolationEvent> Events() const;
-  /// Events for one class only.
+  /// The kept events of one class only.
   std::vector<SloViolationEvent> EventsFor(int class_id) const;
+  /// Every event of `class_id` so far, closed and open, including the
+  /// ones dropped from the kept list.
+  uint64_t EventCount(int class_id) const;
+  /// Closed events dropped from the kept list (drop-oldest).
+  uint64_t events_dropped() const;
 
   /// (sim_time, rolling attainment) trajectory per class, one point per
   /// observation (the last kSeriesCapacity of them) — the SLO-attainment
@@ -93,6 +99,7 @@ class SloMonitor {
     std::deque<std::pair<double, double>> attainment_series;
     bool violating = false;
     SloViolationEvent current;
+    uint64_t closed_events = 0;
   };
 
   std::vector<SloViolationEvent> EventsLocked() const;
@@ -100,7 +107,8 @@ class SloMonitor {
   mutable std::mutex mu_;
   Options options_;
   std::map<int, ClassState> classes_;
-  std::vector<SloViolationEvent> closed_;
+  std::deque<SloViolationEvent> closed_;
+  uint64_t events_dropped_ = 0;
 };
 
 }  // namespace qsched::obs

@@ -29,32 +29,35 @@ Status ControlTable::MarkReleased(uint64_t query_id, sim::SimTime now) {
   return Status::OK();
 }
 
-Status ControlTable::MarkDone(uint64_t query_id, sim::SimTime now) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = rows_.find(query_id);
-  if (it == rows_.end()) {
-    return Status::NotFound("query not in control table");
-  }
-  if (it->second.state != QueryState::kRunning) {
-    return Status::FailedPrecondition("query not running");
-  }
-  it->second.state = QueryState::kDone;
-  it->second.end_time = now;
-  return Status::OK();
+Result<QueryInfoRecord> ControlTable::MarkDone(uint64_t query_id,
+                                               sim::SimTime now) {
+  return Finish(query_id, QueryState::kRunning, QueryState::kDone, now,
+                "query not running");
 }
 
-Status ControlTable::MarkCancelled(uint64_t query_id, sim::SimTime now) {
+Result<QueryInfoRecord> ControlTable::MarkCancelled(uint64_t query_id,
+                                                    sim::SimTime now) {
+  return Finish(query_id, QueryState::kQueued, QueryState::kCancelled, now,
+                "only queued queries can cancel");
+}
+
+Result<QueryInfoRecord> ControlTable::Finish(uint64_t query_id,
+                                             QueryState from, QueryState to,
+                                             sim::SimTime now,
+                                             const char* wrong_state) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = rows_.find(query_id);
   if (it == rows_.end()) {
     return Status::NotFound("query not in control table");
   }
-  if (it->second.state != QueryState::kQueued) {
-    return Status::FailedPrecondition("only queued queries can cancel");
+  if (it->second.state != from) {
+    return Status::FailedPrecondition(wrong_state);
   }
-  it->second.state = QueryState::kCancelled;
-  it->second.end_time = now;
-  return Status::OK();
+  QueryInfoRecord row = it->second;
+  rows_.erase(it);
+  row.state = to;
+  row.end_time = now;
+  return row;
 }
 
 std::optional<QueryInfoRecord> ControlTable::Find(uint64_t query_id) const {
@@ -64,76 +67,12 @@ std::optional<QueryInfoRecord> ControlTable::Find(uint64_t query_id) const {
   return it->second;
 }
 
-double ControlTable::RunningCost(int class_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  double total = 0.0;
-  for (const auto& [id, row] : rows_) {
-    if (row.state == QueryState::kRunning &&
-        (class_id < 0 || row.class_id == class_id)) {
-      total += row.cost_timerons;
-    }
-  }
-  return total;
-}
-
-int ControlTable::RunningCount(int class_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int n = 0;
-  for (const auto& [id, row] : rows_) {
-    if (row.state == QueryState::kRunning &&
-        (class_id < 0 || row.class_id == class_id)) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-int ControlTable::QueuedCount(int class_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int n = 0;
-  for (const auto& [id, row] : rows_) {
-    if (row.state == QueryState::kQueued &&
-        (class_id < 0 || row.class_id == class_id)) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-std::vector<QueryInfoRecord> ControlTable::DoneInWindow(
-    sim::SimTime t_begin, sim::SimTime t_end) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<QueryInfoRecord> out;
-  for (const auto& [id, row] : rows_) {
-    if (row.state == QueryState::kDone && row.end_time >= t_begin &&
-        row.end_time < t_end) {
-      out.push_back(row);
-    }
-  }
-  return out;
-}
-
 void ControlTable::ForEachQueued(
     const std::function<void(const QueryInfoRecord&)>& visit) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [id, row] : rows_) {
     if (row.state == QueryState::kQueued) visit(row);
   }
-}
-
-size_t ControlTable::PruneDone(sim::SimTime before) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t removed = 0;
-  for (auto it = rows_.begin(); it != rows_.end();) {
-    if (it->second.state == QueryState::kDone &&
-        it->second.end_time < before) {
-      it = rows_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
 }
 
 size_t ControlTable::size() const {

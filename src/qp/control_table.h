@@ -6,7 +6,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 #include "common/status.h"
 #include "sim/clock.h"
@@ -17,8 +16,9 @@ namespace qsched::qp {
 enum class QueryState {
   kQueued,     // intercepted, agent blocked, waiting for Release
   kRunning,    // released to the engine
-  kDone,       // finished
-  kCancelled,  // cancelled by an operator while queued
+  kDone,       // finished; only on the row MarkDone hands back
+  kCancelled,  // cancelled while queued; only on the row MarkCancelled
+               // hands back
 };
 
 /// One row of the Query Patroller control tables: the query information
@@ -37,54 +37,50 @@ struct QueryInfoRecord {
 };
 
 /// In-memory stand-in for the DB2 QP control tables. Keyed by query id;
-/// supports the scans the Monitor and the dispatchers need.
+/// the Governor scans its queued rows. A row lives only while its query
+/// is queued or running: MarkDone and MarkCancelled remove it and hand it
+/// back, so the table's size follows the queries in flight, not the
+/// queries served.
 ///
 /// Thread-safety contract: every method takes an internal mutex, so rows
 /// may be inserted, transitioned and scanned from concurrent threads (the
 /// real-time runtime's gateway workers and clock thread both touch the
 /// table). Find() returns a copy — never a pointer into the map — so a
-/// concurrent Prune cannot invalidate what a reader holds. ForEachQueued
-/// holds the lock while visiting: visitors must be short and must not
-/// call back into the same ControlTable (self-deadlock). Compound
-/// check-then-act sequences across calls (e.g. Find then MarkReleased)
-/// still need external serialization — in the rt runtime that is the
-/// core lock; the DES is single-threaded.
+/// concurrent MarkDone/MarkCancelled cannot invalidate what a reader
+/// holds. ForEachQueued holds the lock while visiting: visitors must be
+/// short and must not call back into the same ControlTable
+/// (self-deadlock). Compound check-then-act sequences across calls (e.g.
+/// Find then MarkReleased) still need external serialization — in the rt
+/// runtime that is the core lock; the DES is single-threaded.
 class ControlTable {
  public:
   Status Insert(const QueryInfoRecord& record);
   Status MarkReleased(uint64_t query_id, sim::SimTime now);
-  Status MarkDone(uint64_t query_id, sim::SimTime now);
-  /// Marks a *queued* query cancelled (the QP admin "cancel" action).
-  Status MarkCancelled(uint64_t query_id, sim::SimTime now);
+  /// Finishes a *running* query: removes its row and returns it with
+  /// state kDone and end_time `now`.
+  Result<QueryInfoRecord> MarkDone(uint64_t query_id, sim::SimTime now);
+  /// Cancels a *queued* query (the QP admin "cancel" action): removes its
+  /// row and returns it with state kCancelled and end_time `now`.
+  Result<QueryInfoRecord> MarkCancelled(uint64_t query_id,
+                                        sim::SimTime now);
 
   /// Returns a copy of the row, or nullopt when absent.
   std::optional<QueryInfoRecord> Find(uint64_t query_id) const;
-
-  /// Sum of cost over running queries of `class_id` (all classes when
-  /// class_id < 0) — the dispatcher's admission ledger.
-  double RunningCost(int class_id = -1) const;
-  /// Number of running queries of `class_id` (all when < 0).
-  int RunningCount(int class_id = -1) const;
-  /// Number of queued queries of `class_id` (all when < 0).
-  int QueuedCount(int class_id = -1) const;
-
-  /// All done records with end_time in [t_begin, t_end); what the Monitor
-  /// reads once per control interval.
-  std::vector<QueryInfoRecord> DoneInWindow(sim::SimTime t_begin,
-                                            sim::SimTime t_end) const;
 
   /// Visits every queued row (the Governor's sweep) under the table lock;
   /// see the class contract for visitor restrictions.
   void ForEachQueued(
       const std::function<void(const QueryInfoRecord&)>& visit) const;
 
-  /// Drops done records with end_time < `before` (bounded memory on long
-  /// runs). Returns the number removed.
-  size_t PruneDone(sim::SimTime before);
-
+  /// Rows held: the queries queued or running.
   size_t size() const;
 
  private:
+  /// Removes the row of a query in state `from`, stamped `to` at `now`.
+  Result<QueryInfoRecord> Finish(uint64_t query_id, QueryState from,
+                                 QueryState to, sim::SimTime now,
+                                 const char* wrong_state);
+
   mutable std::mutex mu_;
   std::map<uint64_t, QueryInfoRecord> rows_;
 };

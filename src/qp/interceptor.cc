@@ -95,13 +95,6 @@ void Interceptor::Intercept(const workload::Query& query,
         }
         if (on_arrived_) on_arrived_(record);
       });
-
-  // Periodically bound control-table growth.
-  sim::SimTime now = simulator_->Now();
-  if (now - last_prune_time_ > config_.control_table_retention_seconds) {
-    table_.PruneDone(now - config_.control_table_retention_seconds);
-    last_prune_time_ = now;
-  }
 }
 
 Status Interceptor::Release(uint64_t query_id) {
@@ -135,7 +128,9 @@ Status Interceptor::CancelQueued(uint64_t query_id) {
   if (it == queued_.end()) {
     return Status::NotFound("query not blocked in interceptor");
   }
-  QSCHED_RETURN_NOT_OK(table_.MarkCancelled(query_id, simulator_->Now()));
+  Result<QueryInfoRecord> row =
+      table_.MarkCancelled(query_id, simulator_->Now());
+  QSCHED_RETURN_NOT_OK(row.status());
   PendingQuery pending = std::move(it->second);
   queued_.erase(it);
   ledgers_[pending.query.class_id].queued -= 1;
@@ -145,11 +140,7 @@ Status Interceptor::CancelQueued(uint64_t query_id) {
     telemetry_->spans.OnCancel(query_id, simulator_->Now());
   }
 
-  if (on_cancelled_) {
-    std::optional<QueryInfoRecord> row = table_.Find(query_id);
-    QSCHED_CHECK(row.has_value());
-    on_cancelled_(*row);
-  }
+  if (on_cancelled_) on_cancelled_(row.ValueOrDie());
 
   workload::QueryRecord record;
   record.query_id = query_id;
@@ -183,8 +174,9 @@ void Interceptor::StartOnEngine(uint64_t query_id, PendingQuery pending) {
       [this, base, cost, class_id,
        on_complete = std::move(pending.on_complete)](
           const engine::ExecStats& stats) {
-        Status st = table_.MarkDone(base.query_id, simulator_->Now());
-        QSCHED_CHECK(st.ok()) << st.ToString();
+        Result<QueryInfoRecord> row =
+            table_.MarkDone(base.query_id, simulator_->Now());
+        QSCHED_CHECK(row.ok()) << row.status().ToString();
         ClassLedger& ledger = ledgers_[class_id];
         ledger.running -= 1;
         ledger.running_cost -= cost;
@@ -198,8 +190,7 @@ void Interceptor::StartOnEngine(uint64_t query_id, PendingQuery pending) {
           ResponseHistogram(base.class_id)
               ->Record(record.ResponseSeconds());
         }
-        std::optional<QueryInfoRecord> row = table_.Find(base.query_id);
-        if (on_finished_ && row.has_value()) on_finished_(*row);
+        if (on_finished_) on_finished_(row.ValueOrDie());
         if (on_complete) on_complete(record);
       });
 }

@@ -29,8 +29,6 @@ struct InterceptorConfig {
   /// them near zero.
   double oltp_interception_delay_seconds = -1.0;
   double oltp_interception_cpu_seconds = -1.0;
-  /// Done rows older than this are pruned from the control table.
-  double control_table_retention_seconds = 3600.0;
 
   double DelayFor(bool is_oltp) const {
     if (is_oltp && oltp_interception_delay_seconds >= 0.0) {
@@ -65,7 +63,8 @@ class Interceptor {
   using CompleteFn = workload::QueryFrontend::CompleteFn;
   /// Invoked when an intercepted query becomes visible (after overhead).
   using ArrivedFn = std::function<void(const QueryInfoRecord&)>;
-  /// Invoked when a released query finishes.
+  /// Invoked when a released query finishes, with its control-table row
+  /// (state kDone), which has already left the table.
   using FinishedFn = std::function<void(const QueryInfoRecord&)>;
 
   Interceptor(sim::Clock* simulator, engine::ExecutionEngine* engine,
@@ -91,7 +90,8 @@ class Interceptor {
   Status CancelQueued(uint64_t query_id);
 
   /// Invoked when a queued query is cancelled (before its completion
-  /// callback), so policies can drop it from their queues.
+  /// callback), so policies can drop it from their queues. The row
+  /// (state kCancelled) has already left the control table.
   using CancelledFn = std::function<void(const QueryInfoRecord&)>;
   void set_on_cancelled(CancelledFn fn) { on_cancelled_ = std::move(fn); }
 
@@ -104,8 +104,7 @@ class Interceptor {
 
   const ControlTable& control_table() const { return table_; }
 
-  /// Incremental ledgers (O(1); the control-table scans are for the
-  /// Monitor, not the dispatch path).
+  /// Incremental per-class ledgers, O(1) on the dispatch path.
   double running_cost(int class_id) const;
   int running_count(int class_id) const;
   int queued_count(int class_id) const;
@@ -149,7 +148,6 @@ class Interceptor {
   uint64_t intercepted_total_ = 0;
   uint64_t bypassed_total_ = 0;
   uint64_t cancelled_total_ = 0;
-  sim::SimTime last_prune_time_ = 0.0;
 
   obs::Telemetry* telemetry_ = nullptr;
   obs::Counter* intercepted_counter_ = nullptr;

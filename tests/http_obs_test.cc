@@ -149,12 +149,21 @@ TEST(HttpObsTest, MetricsAndVarzExposition) {
                             "alias for qsched_demo_total."),
             std::string::npos);
   EXPECT_NE(exposition.find("qsched_demo_old_total 3"), std::string::npos);
+  // The process's own memory, read at scrape time.
+  EXPECT_NE(exposition.find("# TYPE qsched_process_resident_bytes gauge"),
+            std::string::npos);
+  EXPECT_NE(
+      exposition.find("# TYPE qsched_process_peak_resident_bytes gauge"),
+      std::string::npos);
 
   std::string varz = HttpFetch(server.port(), "/varz");
   EXPECT_NE(varz.find("Content-Type: application/json"),
             std::string::npos);
   std::string json = BodyOf(varz);
   EXPECT_EQ(VarzValue(json, "qsched_demo_total"), 3);
+  const long long rss = VarzValue(json, "qsched_process_resident_bytes");
+  EXPECT_GT(rss, 0);
+  EXPECT_GE(VarzValue(json, "qsched_process_peak_resident_bytes"), rss);
   EXPECT_NE(json.find("\"qsched_demo_seconds\": {\"count\":2"),
             std::string::npos);
   EXPECT_NE(

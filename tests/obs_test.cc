@@ -694,6 +694,35 @@ TEST(SloMonitorTest, ViolationEventsTrackRunsAndDepth) {
   EXPECT_TRUE(slo.EventsFor(2).empty());
 }
 
+TEST(SloMonitorTest, ClosedEventsKeepTheLatestCapacity) {
+  constexpr size_t kExtra = 3;
+  SloMonitor slo;
+  // miss, meet pairs: one closed single-interval event per pair, then a
+  // final miss leaves one open event.
+  const size_t closed = SloMonitor::kSeriesCapacity + kExtra;
+  uint64_t interval = 0;
+  auto observe = [&](double ratio) {
+    ++interval;
+    slo.Observe(1, interval, 60.0 * static_cast<double>(interval), ratio);
+  };
+  for (size_t i = 0; i < closed; ++i) {
+    observe(0.5);
+    observe(1.0);
+  }
+  observe(0.5);
+
+  const std::vector<SloViolationEvent> events = slo.Events();
+  ASSERT_EQ(events.size(), SloMonitor::kSeriesCapacity + 1);
+  // The oldest kExtra closed events were dropped.
+  EXPECT_EQ(events.front().start_interval, 2 * kExtra + 1);
+  EXPECT_TRUE(events.back().open);
+  EXPECT_EQ(events.back().start_interval, interval);
+  EXPECT_EQ(slo.events_dropped(), kExtra);
+  // The per-class total still counts every event.
+  EXPECT_EQ(slo.EventCount(1), closed + 1);
+  EXPECT_EQ(slo.EventCount(2), 0u);
+}
+
 TEST(SloMonitorTest, EventJsonCarriesTypeTag) {
   SloMonitor slo;
   slo.Observe(4, 1, 60.0, 0.5);

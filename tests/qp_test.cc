@@ -39,46 +39,51 @@ TEST(ControlTableTest, LifecycleStateMachine) {
   ASSERT_TRUE(table.Insert(record).ok());
   EXPECT_EQ(table.Insert(record).code(), StatusCode::kAlreadyExists);
 
-  EXPECT_EQ(table.QueuedCount(2), 1);
-  EXPECT_EQ(table.RunningCount(2), 0);
+  std::optional<QueryInfoRecord> row = table.Find(1);
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ(row->state, QueryState::kQueued);
 
   ASSERT_TRUE(table.MarkReleased(1, 2.0).ok());
   EXPECT_EQ(table.MarkReleased(1, 2.0).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(table.RunningCount(2), 1);
-  EXPECT_DOUBLE_EQ(table.RunningCost(2), 100.0);
-  EXPECT_DOUBLE_EQ(table.RunningCost(-1), 100.0);
-  EXPECT_DOUBLE_EQ(table.RunningCost(3), 0.0);
-
-  ASSERT_TRUE(table.MarkDone(1, 5.0).ok());
-  EXPECT_EQ(table.RunningCount(2), 0);
-  std::optional<QueryInfoRecord> row = table.Find(1);
+  row = table.Find(1);
   ASSERT_TRUE(row.has_value());
-  EXPECT_EQ(row->state, QueryState::kDone);
+  EXPECT_EQ(row->state, QueryState::kRunning);
   EXPECT_DOUBLE_EQ(row->release_time, 2.0);
-  EXPECT_DOUBLE_EQ(row->end_time, 5.0);
+
+  EXPECT_EQ(table.MarkCancelled(1, 3.0).status().code(),
+            StatusCode::kFailedPrecondition);
+  Result<QueryInfoRecord> done = table.MarkDone(1, 5.0);
+  ASSERT_TRUE(done.ok());
+  EXPECT_EQ(done.ValueOrDie().state, QueryState::kDone);
+  EXPECT_EQ(done.ValueOrDie().class_id, 2);
+  EXPECT_DOUBLE_EQ(done.ValueOrDie().intercept_time, 1.0);
+  EXPECT_DOUBLE_EQ(done.ValueOrDie().release_time, 2.0);
+  EXPECT_DOUBLE_EQ(done.ValueOrDie().end_time, 5.0);
+  // A finished row leaves the table.
+  EXPECT_FALSE(table.Find(1).has_value());
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.MarkDone(1, 6.0).status().code(), StatusCode::kNotFound);
+
+  record.query_id = 2;
+  ASSERT_TRUE(table.Insert(record).ok());
+  EXPECT_EQ(table.MarkDone(2, 3.0).status().code(),
+            StatusCode::kFailedPrecondition);
+  Result<QueryInfoRecord> cancelled = table.MarkCancelled(2, 4.0);
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(cancelled.ValueOrDie().state, QueryState::kCancelled);
+  EXPECT_DOUBLE_EQ(cancelled.ValueOrDie().end_time, 4.0);
+  EXPECT_FALSE(table.Find(2).has_value());
+  EXPECT_EQ(table.size(), 0u);
 }
 
 TEST(ControlTableTest, MissingQueryErrors) {
   ControlTable table;
   EXPECT_EQ(table.MarkReleased(9, 1.0).code(), StatusCode::kNotFound);
-  EXPECT_EQ(table.MarkDone(9, 1.0).code(), StatusCode::kNotFound);
+  EXPECT_EQ(table.MarkDone(9, 1.0).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(table.MarkCancelled(9, 1.0).status().code(),
+            StatusCode::kNotFound);
   EXPECT_FALSE(table.Find(9).has_value());
-}
-
-TEST(ControlTableTest, DoneWindowAndPrune) {
-  ControlTable table;
-  for (uint64_t i = 1; i <= 5; ++i) {
-    QueryInfoRecord record;
-    record.query_id = i;
-    record.class_id = 1;
-    table.Insert(record);
-    table.MarkReleased(i, 0.0);
-    table.MarkDone(i, static_cast<double>(i));
-  }
-  EXPECT_EQ(table.DoneInWindow(2.0, 4.0).size(), 2u);  // ends 2,3
-  EXPECT_EQ(table.PruneDone(3.0), 2u);                 // drops 1,2
-  EXPECT_EQ(table.size(), 3u);
 }
 
 class InterceptorTest : public ::testing::Test {

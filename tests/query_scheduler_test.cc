@@ -2,8 +2,13 @@
 // harness tests cover it end-to-end; these pin down its plumbing).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "common/rng.h"
 #include "engine/execution_engine.h"
+#include "qp/governor.h"
+#include "scheduler/mpl_controller.h"
 #include "scheduler/query_scheduler.h"
 #include "sim/simulator.h"
 
@@ -36,6 +41,66 @@ workload::Query MakeOltp(uint64_t id, int client_id) {
   query.job.logical_pages = 50.0;
   query.job.hit_ratio = 0.9;
   return query;
+}
+
+/// What RunOlapWithGovernor saw.
+struct InFlightRun {
+  uint64_t submitted = 0;
+  uint64_t completed = 0;
+  uint64_t cancelled = 0;
+  /// Completions after which the control table's size differed from the
+  /// interceptor's queued + running count.
+  uint64_t mismatches = 0;
+  size_t peak_rows = 0;
+};
+
+/// Drives `hours` model hours of Poisson OLAP arrivals (classes 1 and 2,
+/// alternating busy and quiet half hours so queues build and drain)
+/// through `frontend`, with a queue-timeout Governor on `interceptor`,
+/// then runs the simulation dry. After every completion or cancellation
+/// it compares the control table's size with the interceptor's ledgers.
+InFlightRun RunOlapWithGovernor(sim::Simulator* simulator,
+                                workload::QueryFrontend* frontend,
+                                qp::Interceptor* interceptor,
+                                double hours) {
+  qp::Governor::Options options;
+  options.max_queue_seconds = 120.0;
+  options.sweep_interval_seconds = 30.0;
+  qp::Governor governor(simulator, interceptor, options);
+  const double until = hours * 3600.0;
+  // Sweeps outlast the arrivals so work stranded in a queue at the end
+  // is cancelled too.
+  governor.Start(until + 2.0 * options.max_queue_seconds);
+
+  InFlightRun run;
+  auto on_complete = [&](const workload::QueryRecord& record) {
+    ++(record.cancelled ? run.cancelled : run.completed);
+    size_t in_flight = 0;
+    for (int class_id : {1, 2}) {
+      in_flight += static_cast<size_t>(interceptor->queued_count(class_id) +
+                                       interceptor->running_count(class_id));
+    }
+    size_t rows = interceptor->control_table().size();
+    if (rows != in_flight) ++run.mismatches;
+    run.peak_rows = std::max(run.peak_rows, rows);
+  };
+
+  Rng rng(11);
+  uint64_t next_id = 1;
+  std::function<void()> arrive = [&] {
+    double now = simulator->Now();
+    if (now >= until) return;
+    int class_id = rng.Bernoulli(0.5) ? 1 : 2;
+    frontend->Submit(MakeOlap(next_id++, class_id, rng.Uniform(2e4, 8e4)),
+                     on_complete);
+    ++run.submitted;
+    bool busy = static_cast<int64_t>(now / 1800.0) % 2 == 0;
+    simulator->ScheduleAfter(rng.Exponential(busy ? 0.5 : 8.0),
+                             [&arrive] { arrive(); });
+  };
+  arrive();
+  simulator->RunToCompletion();
+  return run;
 }
 
 class QuerySchedulerTest : public ::testing::Test {
@@ -152,6 +217,42 @@ TEST_F(QuerySchedulerTest, MeasurementsStartAtGoals) {
   EXPECT_DOUBLE_EQ(qs->measurements().at(1), 0.4);
   EXPECT_DOUBLE_EQ(qs->measurements().at(2), 0.6);
   EXPECT_DOUBLE_EQ(qs->measurements().at(3), 0.25);
+}
+
+// A control-table row lives only while its query is queued or running:
+// over hours of arrivals, completions and Governor cancellations the table
+// holds exactly the queries in flight, and nothing once the run drains.
+TEST_F(QuerySchedulerTest, ControlTableHoldsOnlyQueriesInFlight) {
+  QuerySchedulerConfig config;
+  config.control_interval_seconds = 60.0;
+  auto qs = Make(config);
+  qs->Start(3.0 * 3600.0);
+  InFlightRun run =
+      RunOlapWithGovernor(&simulator_, qs.get(), &qs->interceptor(), 3.0);
+  EXPECT_EQ(run.completed + run.cancelled, run.submitted);
+  EXPECT_GT(run.completed, 0u);
+  EXPECT_GT(run.cancelled, 0u);
+  EXPECT_EQ(run.mismatches, 0u);
+  EXPECT_LT(run.peak_rows, run.submitted / 4);
+  EXPECT_EQ(qs->interceptor().control_table().size(), 0u);
+}
+
+class MplControllerTest : public QuerySchedulerTest {};
+
+TEST_F(MplControllerTest, ControlTableHoldsOnlyQueriesInFlight) {
+  MplController::Options options;
+  options.initial_mpl = {{1, 1}, {2, 1}};
+  options.adaptive = false;
+  MplController mpl(&simulator_, &engine_, &classes_, options);
+  mpl.Start(3.0 * 3600.0);
+  InFlightRun run =
+      RunOlapWithGovernor(&simulator_, &mpl, &mpl.interceptor(), 3.0);
+  EXPECT_EQ(run.completed + run.cancelled, run.submitted);
+  EXPECT_GT(run.completed, 0u);
+  EXPECT_GT(run.cancelled, 0u);
+  EXPECT_EQ(run.mismatches, 0u);
+  EXPECT_LT(run.peak_rows, run.submitted / 4);
+  EXPECT_EQ(mpl.interceptor().control_table().size(), 0u);
 }
 
 }  // namespace

@@ -612,7 +612,8 @@ TEST(RtRuntimeTest, OfferReportsRejectReason) {
 
 // A live runtime with telemetry attached keeps no per-query state once
 // its queries complete: nothing reads spans here, so none are recorded,
-// neither open nor closed, however many queries went through.
+// neither open nor closed, however many queries went through; and the QP
+// control table holds no row for a finished query.
 TEST(RtRuntimeTest, LiveTelemetryKeepsNoPerQueryState) {
   obs::Telemetry telemetry;
   RuntimeOptions options;
@@ -643,7 +644,9 @@ TEST(RtRuntimeTest, LiveTelemetryKeepsNoPerQueryState) {
   ASSERT_TRUE(runtime.gateway().WaitIdle(/*timeout_wall_seconds=*/120.0));
   EXPECT_EQ(completed.load(), static_cast<uint64_t>(kQueries));
 
-  runtime.clock().Run([&telemetry] {
+  runtime.clock().Run([&telemetry, &runtime] {
+    EXPECT_EQ(runtime.scheduler().interceptor().control_table().size(),
+              0u);
     EXPECT_EQ(telemetry.spans.open_count(), 0u);
     EXPECT_EQ(telemetry.spans.closed_total(), 0u);
     EXPECT_TRUE(telemetry.spans.closed().empty());

@@ -50,8 +50,8 @@
 // `hardware_concurrency` is included so the replication speedup is
 // interpretable.
 //
-//   ./build/bench/perf_bench --events=2000000 --outstanding=512 \
-//       --fig6-period-seconds=600 --replications=8 --jobs=4 \
+//   ./build/bench/perf_bench --events=2000000 --outstanding=512
+//       --fig6-period-seconds=600 --replications=8 --jobs=4
 //       --rep-period-seconds=120 --out=BENCH_qsched.json
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -191,7 +191,7 @@ struct EventWorkload {
   int outstanding;
   qsched::Rng rng{12345};
   uint64_t fired = 0;
-  std::vector<uint64_t> victims;
+  std::vector<uint64_t> victims{};
 
   void Arm() {
     sim->ScheduleAfter(rng.Exponential(1.0), [this] {

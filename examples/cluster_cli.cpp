@@ -7,7 +7,7 @@
 // net_cli --mode=netload (or any net::Client) at the router exactly as
 // they would at a single backend.
 //
-//   cluster_cli --mode=route --backends=127.0.0.1:4750,127.0.0.1:4751 \
+//   cluster_cli --mode=route --backends=127.0.0.1:4750,127.0.0.1:4751
 //               --port=4700 --duration=10
 //
 // Options:

@@ -1,8 +1,8 @@
 // Command-line experiment runner: the whole harness behind flags, with
 // optional CSV export of the figure series and the raw query trace.
 //
-//   ./build/examples/experiment_cli --controller=query-scheduler \
-//       --seed=7 --period-seconds=600 --system-cost-limit=300000 \
+//   ./build/examples/experiment_cli --controller=query-scheduler
+//       --seed=7 --period-seconds=600 --system-cost-limit=300000
 //       --velocity-csv=/tmp/velocity.csv --summary
 //
 // Observability exports (each enables telemetry for the run):

@@ -118,6 +118,11 @@ int RunServe(const qsched::FlagParser& flags) {
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
 
   qsched::obs::Telemetry telemetry;
+  // The report covers the whole run; without it the stores keep the live
+  // window only.
+  if (!flags.GetString("report-html", "").empty()) {
+    telemetry.KeepFullHistory();
+  }
   qsched::rt::RuntimeOptions options;
   options.time_scale = flags.GetDouble("time-scale", 60.0);
   options.seed = seed;

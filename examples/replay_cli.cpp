@@ -20,7 +20,7 @@
 // attainment and total utility side by side with the live run's
 // measured values. Bit-deterministic at any --jobs.
 //
-//   replay_cli --mode=whatif --trace=PATH \
+//   replay_cli --mode=whatif --trace=PATH
 //       --plans=base,interval=5,limit=300000+interval=5 --jobs=4
 //
 // Shared options:

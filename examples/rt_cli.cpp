@@ -133,6 +133,12 @@ int main(int argc, char** argv) {
   }
 
   qsched::obs::Telemetry telemetry;
+  // The audit trail and the report cover the whole run; without them the
+  // stores keep the live window only.
+  if (!flags.GetString("audit-out", "").empty() ||
+      !flags.GetString("report-html", "").empty()) {
+    telemetry.KeepFullHistory();
+  }
   qsched::rt::RuntimeOptions options;
   options.time_scale = time_scale;
   options.seed = seed;

@@ -249,6 +249,8 @@ ExperimentResult RunExperiment(const ExperimentConfig& config,
                                ControllerKind kind) {
   Status valid = config.Validate();
   QSCHED_CHECK(valid.ok()) << valid.ToString();
+  // A DES run's history is its output (figures, exports, reports).
+  if (config.telemetry != nullptr) config.telemetry->KeepFullHistory();
   Bench bench;
   std::unique_ptr<metrics::PeriodCollector> collector_box;
   metrics::PeriodCollector* collector = nullptr;

@@ -73,7 +73,9 @@ struct ExperimentConfig {
   /// the whole control loop record metrics, planner audit records and
   /// (if its SpanLog is enabled) per-query spans into it; RunExperiment
   /// also copies a final registry snapshot into
-  /// ExperimentResult::metric_snapshot. Must outlive the run.
+  /// ExperimentResult::metric_snapshot, and calls KeepFullHistory() on it
+  /// so its per-interval stores cover the whole run. Must outlive the
+  /// run.
   obs::Telemetry* telemetry = nullptr;
 
   /// Overrides; default to the paper's Figure 3 schedule / classes.

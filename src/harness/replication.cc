@@ -37,6 +37,7 @@ ReplicatedResult RunReplicated(const ExperimentConfig& config,
   result.controller = kind;
   result.replications = replications;
   if (replications <= 0) return result;
+  if (options.telemetry != nullptr) options.telemetry->KeepFullHistory();
 
   // Each replica owns its whole simulation; the only shared state is the
   // pre-sized results vector, written at distinct indices. Merging in

@@ -20,7 +20,8 @@ struct ReplicationOptions {
   /// the merge, from the calling thread. Replicas themselves always run
   /// with telemetry disabled: a shared registry is not thread-safe, and
   /// keeping serial and parallel runs identical requires treating them
-  /// the same way.
+  /// the same way. Like RunExperiment, RunReplicated calls
+  /// KeepFullHistory() on it.
   obs::Telemetry* telemetry = nullptr;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/strings.h"
 #include "harness/html_report.h"
@@ -24,6 +26,31 @@ std::string UptimeText(double seconds) {
   if (seconds >= 3600.0) return StrPrintf("%.1fh", seconds / 3600.0);
   if (seconds >= 60.0) return StrPrintf("%.1fm", seconds / 60.0);
   return StrPrintf("%.1fs", seconds);
+}
+
+/// Replaces a series longer than kStatusPagePointsPerSeries by the x and
+/// y means of that many runs of consecutive points. Equal-length series
+/// get equal runs, so stacked bands stay aligned.
+void CapPoints(obs::SvgSeries* series) {
+  const size_t n = series->xs.size();
+  const size_t m = kStatusPagePointsPerSeries;
+  if (n <= m) return;
+  std::vector<double> xs(m);
+  std::vector<double> ys(m);
+  for (size_t b = 0; b < m; ++b) {
+    const size_t begin = b * n / m;
+    const size_t end = (b + 1) * n / m;
+    double x_sum = 0.0;
+    double y_sum = 0.0;
+    for (size_t i = begin; i < end; ++i) {
+      x_sum += series->xs[i];
+      y_sum += series->ys[i];
+    }
+    xs[b] = x_sum / static_cast<double>(end - begin);
+    ys[b] = y_sum / static_cast<double>(end - begin);
+  }
+  series->xs = std::move(xs);
+  series->ys = std::move(ys);
 }
 
 }  // namespace
@@ -119,6 +146,7 @@ std::string RenderStatusPage(const StatusPageInfo& info,
         series.xs.push_back(time / 60.0);
         series.ys.push_back(ratio);
       }
+      CapPoints(&series);
       if (!series.xs.empty()) spec.series.push_back(std::move(series));
     }
     if (!spec.series.empty()) {
@@ -134,6 +162,7 @@ std::string RenderStatusPage(const StatusPageInfo& info,
   {
     obs::SvgChartSpec spec =
         BuildLatencyBreakdownSpec(telemetry->recorder.Rows());
+    for (obs::SvgSeries& series : spec.series) CapPoints(&series);
     if (!spec.series.empty()) {
       out << "<h2>Latency breakdown by stage</h2>\n<figure>\n"
           << obs::RenderStackedAreaChart(spec)

@@ -1,6 +1,7 @@
 #ifndef QSCHED_HARNESS_STATUS_PAGE_H_
 #define QSCHED_HARNESS_STATUS_PAGE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -20,6 +21,11 @@ namespace qsched::harness {
 obs::SvgChartSpec BuildLatencyBreakdownSpec(
     const std::vector<obs::IntervalRow>& rows);
 
+/// Most points /statusz draws per chart series. A server that keeps its
+/// full planner history would otherwise render every interval on every
+/// scrape; longer series are drawn as this many bucket means.
+inline constexpr size_t kStatusPagePointsPerSeries = 256;
+
 /// Header facts for the live status page, read from the serving runtime
 /// at request time.
 struct StatusPageInfo {
@@ -37,7 +43,8 @@ struct StatusPageInfo {
 /// snapshot of the live run — serving state and intake tiles, the SLO
 /// attainment chart, the stacked per-stage latency breakdown, and the
 /// full metric table — styled identically to the offline run report
-/// (same stylesheet, inline SVG, no scripts, no external assets).
+/// (same stylesheet, inline SVG, no scripts, no external assets). Each
+/// chart series carries at most kStatusPagePointsPerSeries points.
 /// `telemetry` may be nullptr; the page then carries the tiles only.
 std::string RenderStatusPage(const StatusPageInfo& info,
                              const obs::Telemetry* telemetry);

@@ -160,6 +160,15 @@ void PlannerAuditLog::Add(PlannerAuditRecord record) {
   records_.push_back(std::move(record));
 }
 
+void PlannerAuditLog::set_capacity(size_t capacity) {
+  std::lock_guard<std::mutex> lock(mu_);
+  capacity_ = capacity == 0 ? 1 : capacity;
+  while (records_.size() > capacity_) {
+    records_.pop_front();
+    ++dropped_;
+  }
+}
+
 size_t PlannerAuditLog::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return records_.size();

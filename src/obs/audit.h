@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/history.h"
+
 namespace qsched::obs {
 
 /// Everything the Scheduling Planner knew about one class during one
@@ -68,12 +70,16 @@ bool ParsePlannerAuditRecord(const std::string& json,
 /// reference, so only read it after concurrent writers have quiesced.
 class PlannerAuditLog {
  public:
-  explicit PlannerAuditLog(size_t capacity = 1 << 16);
+  explicit PlannerAuditLog(size_t capacity = kFullHistoryIntervals);
 
   PlannerAuditLog(const PlannerAuditLog&) = delete;
   PlannerAuditLog& operator=(const PlannerAuditLog&) = delete;
 
   void Add(PlannerAuditRecord record);
+
+  /// Changes the capacity; records beyond it go oldest first and count
+  /// as dropped.
+  void set_capacity(size_t capacity);
 
   size_t size() const;
   uint64_t dropped() const;

@@ -14,17 +14,7 @@ void PredictionLedger::Predict(uint64_t interval, int class_id,
                                bool is_oltp, double predicted,
                                double model_slope) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (records_.size() >= capacity_) {
-    // Drop-oldest; detach it from pending_ first if still unresolved.
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (it->second == &records_.front()) {
-        pending_.erase(it);
-        break;
-      }
-    }
-    records_.pop_front();
-    ++dropped_;
-  }
+  if (records_.size() >= capacity_) PopOldestLocked();
   PredictionRecord record;
   record.predicted_at = interval;
   record.target_interval = interval + 1;
@@ -51,6 +41,26 @@ void PredictionLedger::Observe(uint64_t interval, int class_id,
   std::deque<double>& errors = errors_[class_id];
   if (errors.size() >= capacity_) errors.pop_front();
   errors.push_back(observed - record->predicted);
+}
+
+void PredictionLedger::set_capacity(size_t capacity) {
+  std::lock_guard<std::mutex> lock(mu_);
+  capacity_ = capacity == 0 ? 1 : capacity;
+  while (records_.size() > capacity_) PopOldestLocked();
+  for (auto& [class_id, errors] : errors_) {
+    while (errors.size() > capacity_) errors.pop_front();
+  }
+}
+
+void PredictionLedger::PopOldestLocked() {
+  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+    if (it->second == &records_.front()) {
+      pending_.erase(it);
+      break;
+    }
+  }
+  records_.pop_front();
+  ++dropped_;
 }
 
 size_t PredictionLedger::size() const {

@@ -9,6 +9,8 @@
 #include <ostream>
 #include <vector>
 
+#include "obs/history.h"
+
 namespace qsched::obs {
 
 /// One model prediction and (once the next interval lands) the value the
@@ -51,7 +53,7 @@ struct ResidualStats {
 /// per class. Thread-safe; bounded (drop-oldest).
 class PredictionLedger {
  public:
-  explicit PredictionLedger(size_t capacity = 1 << 16);
+  explicit PredictionLedger(size_t capacity = kFullHistoryIntervals);
 
   PredictionLedger(const PredictionLedger&) = delete;
   PredictionLedger& operator=(const PredictionLedger&) = delete;
@@ -66,6 +68,10 @@ class PredictionLedger {
   /// with the observed measurement. No-op when none is pending (first
   /// interval) or the pending target differs.
   void Observe(uint64_t interval, int class_id, double observed);
+
+  /// Changes the capacity; records beyond it go oldest first and count
+  /// as dropped, and each class keeps at most that many residuals.
+  void set_capacity(size_t capacity);
 
   size_t size() const;
   uint64_t dropped() const;
@@ -84,6 +90,9 @@ class PredictionLedger {
   void WriteJsonl(std::ostream& out) const;
 
  private:
+  /// Drops the oldest record, detaching it from pending_ first.
+  void PopOldestLocked();
+
   mutable std::mutex mu_;
   size_t capacity_;
   std::deque<PredictionRecord> records_;

@@ -20,7 +20,8 @@ std::string ToJson(const SloViolationEvent& event) {
       event.open ? "true" : "false");
 }
 
-SloMonitor::SloMonitor(Options options) : options_(options) {
+SloMonitor::SloMonitor(Options options, size_t capacity)
+    : options_(options), capacity_(capacity == 0 ? 1 : capacity) {
   if (options_.window < 1) options_.window = 1;
 }
 
@@ -40,7 +41,7 @@ void SloMonitor::Observe(int class_id, uint64_t interval, double sim_time,
   for (bool m : state.recent_met) {
     if (m) ++met_in_window;
   }
-  if (state.attainment_series.size() >= kSeriesCapacity) {
+  if (state.attainment_series.size() >= capacity_) {
     state.attainment_series.pop_front();
   }
   state.attainment_series.emplace_back(
@@ -67,11 +68,25 @@ void SloMonitor::Observe(int class_id, uint64_t interval, double sim_time,
     state.violating = false;
     state.current.open = false;
     ++state.closed_events;
-    if (closed_.size() >= kSeriesCapacity) {
+    if (closed_.size() >= capacity_) {
       closed_.pop_front();
       ++events_dropped_;
     }
     closed_.push_back(state.current);
+  }
+}
+
+void SloMonitor::set_capacity(size_t capacity) {
+  std::lock_guard<std::mutex> lock(mu_);
+  capacity_ = capacity == 0 ? 1 : capacity;
+  for (auto& [class_id, state] : classes_) {
+    while (state.attainment_series.size() > capacity_) {
+      state.attainment_series.pop_front();
+    }
+  }
+  while (closed_.size() > capacity_) {
+    closed_.pop_front();
+    ++events_dropped_;
   }
 }
 

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/history.h"
+
 namespace qsched::obs {
 
 /// One contiguous run of control intervals in which a class violated its
@@ -40,9 +42,10 @@ std::string ToJson(const SloViolationEvent& event);
 /// Thread-safe.
 class SloMonitor {
  public:
-  /// Points kept per class in the attainment series (drop-oldest), the
-  /// capacity the audit, time-series and ledger logs use too.
-  static constexpr size_t kSeriesCapacity = 1 << 16;
+  /// Default points kept per class in the attainment series, and closed
+  /// events kept across classes (drop-oldest), the default capacity of
+  /// the audit, time-series and ledger logs too.
+  static constexpr size_t kSeriesCapacity = kFullHistoryIntervals;
 
   struct Options {
     /// Rolling attainment window, in control intervals.
@@ -50,7 +53,7 @@ class SloMonitor {
   };
 
   SloMonitor() : SloMonitor(Options()) {}
-  explicit SloMonitor(Options options);
+  explicit SloMonitor(Options options, size_t capacity = kSeriesCapacity);
 
   SloMonitor(const SloMonitor&) = delete;
   SloMonitor& operator=(const SloMonitor&) = delete;
@@ -59,6 +62,11 @@ class SloMonitor {
   /// observed in nondecreasing order per class.
   void Observe(int class_id, uint64_t interval, double sim_time,
                double goal_ratio);
+
+  /// Changes the capacity; points and closed events beyond it go oldest
+  /// first (dropped events count in events_dropped()). Counts, rolling
+  /// and overall attainment and EventCount stay exact.
+  void set_capacity(size_t capacity);
 
   /// Fraction of the last `window` observed intervals with ratio >= 1;
   /// 0 when the class has no observations.
@@ -70,7 +78,7 @@ class SloMonitor {
   /// Ids of every class with at least one observation, ascending.
   std::vector<int> ObservedClasses() const;
 
-  /// The last kSeriesCapacity closed events (across classes) plus each
+  /// The last `capacity` closed events (across classes) plus each
   /// class's open one, oldest first.
   std::vector<SloViolationEvent> Events() const;
   /// The kept events of one class only.
@@ -82,7 +90,7 @@ class SloMonitor {
   uint64_t events_dropped() const;
 
   /// (sim_time, rolling attainment) trajectory per class, one point per
-  /// observation (the last kSeriesCapacity of them) — the SLO-attainment
+  /// observation (the last `capacity` of them) — the SLO-attainment
   /// chart series.
   std::vector<std::pair<double, double>> AttainmentSeries(
       int class_id) const;
@@ -106,6 +114,7 @@ class SloMonitor {
 
   mutable std::mutex mu_;
   Options options_;
+  size_t capacity_;
   std::map<int, ClassState> classes_;
   std::deque<SloViolationEvent> closed_;
   uint64_t events_dropped_ = 0;

@@ -18,6 +18,15 @@ void TimeSeriesRecorder::Append(IntervalRow row) {
   rows_.push_back(std::move(row));
 }
 
+void TimeSeriesRecorder::set_capacity(size_t capacity) {
+  std::lock_guard<std::mutex> lock(mu_);
+  capacity_ = capacity == 0 ? 1 : capacity;
+  while (rows_.size() > capacity_) {
+    rows_.pop_front();
+    ++dropped_;
+  }
+}
+
 size_t TimeSeriesRecorder::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return rows_.size();

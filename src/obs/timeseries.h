@@ -8,6 +8,8 @@
 #include <ostream>
 #include <vector>
 
+#include "obs/history.h"
+
 namespace qsched::obs {
 
 /// Per-class columns of one control-interval sample.
@@ -51,12 +53,16 @@ struct IntervalRow {
 /// harness code can share one recorder.
 class TimeSeriesRecorder {
  public:
-  explicit TimeSeriesRecorder(size_t capacity = 1 << 16);
+  explicit TimeSeriesRecorder(size_t capacity = kFullHistoryIntervals);
 
   TimeSeriesRecorder(const TimeSeriesRecorder&) = delete;
   TimeSeriesRecorder& operator=(const TimeSeriesRecorder&) = delete;
 
   void Append(IntervalRow row);
+
+  /// Changes the capacity; rows beyond it go oldest first and count as
+  /// dropped.
+  void set_capacity(size_t capacity);
 
   size_t size() const;
   uint64_t dropped() const;

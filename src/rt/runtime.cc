@@ -26,6 +26,12 @@ Runtime::Runtime(const sched::ServiceClassSet& classes,
     engine_.set_telemetry(options_.telemetry);
     clock_.set_telemetry(options_.telemetry);
   }
+  // A live server keeps the telemetry stores' window of cost-limit
+  // history too, unless a reader of the whole run asked for all of it.
+  if (options_.telemetry == nullptr ||
+      !options_.telemetry->keeps_full_history()) {
+    scheduler_.set_limit_history_capacity(obs::kLiveHistoryIntervals);
+  }
 }
 
 Runtime::~Runtime() { Shutdown(); }

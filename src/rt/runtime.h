@@ -29,7 +29,10 @@ struct RuntimeOptions {
   sched::QuerySchedulerConfig scheduler;
   /// Optional; must outlive the runtime. Also handed to the scheduler
   /// (overriding scheduler.telemetry) so audit records, spans and SLO
-  /// gauges flow for live runs exactly as for simulated ones.
+  /// gauges flow for live runs exactly as for simulated ones. The
+  /// scheduler's limit_history() keeps the last obs::kLiveHistoryIntervals
+  /// intervals unless Telemetry::KeepFullHistory() was called before the
+  /// runtime is constructed.
   obs::Telemetry* telemetry = nullptr;
 };
 

@@ -275,7 +275,9 @@ void QueryScheduler::PlanOnce() {
     }
   }
   for (const auto& [class_id, limit] : next.cost_limits) {
-    limit_history_[class_id].Append(simulator_->Now(), limit);
+    sim::TimeSeries& history = limit_history_[class_id];
+    history.Append(simulator_->Now(), limit);
+    history.KeepLast(limit_history_capacity_);
   }
   if (telemetry_ != nullptr) {
     // Audit before SetPlan so queue depths reflect what the planner saw,

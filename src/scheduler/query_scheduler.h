@@ -1,6 +1,8 @@
 #ifndef QSCHED_SCHEDULER_QUERY_SCHEDULER_H_
 #define QSCHED_SCHEDULER_QUERY_SCHEDULER_H_
 
+#include <cstddef>
+#include <limits>
 #include <map>
 
 #include "engine/execution_engine.h"
@@ -98,9 +100,16 @@ class QueryScheduler : public workload::QueryFrontend {
   void Submit(const workload::Query& query, CompleteFn on_complete) override;
 
   const SchedulingPlan& current_plan() const { return dispatcher_.plan(); }
-  /// Cost-limit decisions over time, per class (the Fig. 7 series).
+  /// Cost-limit decisions over time, per class (the Fig. 7 series):
+  /// every interval's, or the last set_limit_history_capacity() of them.
   const std::map<int, sim::TimeSeries>& limit_history() const {
     return limit_history_;
+  }
+  /// Keeps only the latest `intervals` points per class in
+  /// limit_history() (a live server's window; the planner never reads
+  /// it). Unbounded by default.
+  void set_limit_history_capacity(size_t intervals) {
+    limit_history_capacity_ = intervals;
   }
   const OltpResponseModel& oltp_model() const { return oltp_model_; }
   qp::Interceptor& interceptor() { return interceptor_; }
@@ -167,6 +176,7 @@ class QueryScheduler : public workload::QueryFrontend {
   double prev_oltp_response_ = -1.0;
   double prev_olap_total_ = -1.0;
   std::map<int, sim::TimeSeries> limit_history_;
+  size_t limit_history_capacity_ = std::numeric_limits<size_t>::max();
   uint64_t planning_cycles_ = 0;
 
   obs::Telemetry* telemetry_ = nullptr;

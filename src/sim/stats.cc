@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 namespace qsched::sim {
 
@@ -109,6 +110,12 @@ double Histogram::Quantile(double q) const {
 
 void TimeSeries::Append(double time, double value) {
   points_.push_back(Point{time, value});
+}
+
+void TimeSeries::KeepLast(size_t max_points) {
+  if (points_.size() <= max_points) return;
+  points_.erase(points_.begin(),
+                points_.end() - static_cast<std::ptrdiff_t>(max_points));
 }
 
 double TimeSeries::MeanInWindow(double t_begin, double t_end) const {

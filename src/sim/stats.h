@@ -86,6 +86,8 @@ class TimeSeries {
   };
 
   void Append(double time, double value);
+  /// Drops the oldest points until at most `max_points` remain.
+  void KeepLast(size_t max_points);
 
   size_t size() const { return points_.size(); }
   bool empty() const { return points_.empty(); }

@@ -11,8 +11,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -21,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/status_page.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/http_server.h"
@@ -345,6 +348,78 @@ TEST(HttpObsTest, WireStatsMatchVarzCounters) {
   http.Stop();
   net_server.Stop();
   runtime.Shutdown();
+}
+
+/// Point counts of every `<tag points="...">` element in `html`, one
+/// comma per x,y pair.
+std::vector<size_t> PointCounts(const std::string& html,
+                                const std::string& tag) {
+  std::vector<size_t> counts;
+  const std::string open = "<" + tag + " points=\"";
+  for (size_t at = html.find(open); at != std::string::npos;
+       at = html.find(open, at + 1)) {
+    const size_t begin = at + open.size();
+    const size_t end = html.find('"', begin);
+    counts.push_back(static_cast<size_t>(
+        std::count(html.begin() + static_cast<std::ptrdiff_t>(begin),
+                   html.begin() + static_cast<std::ptrdiff_t>(end), ',')));
+  }
+  return counts;
+}
+
+// A server that keeps its full planner history still renders a bounded
+// /statusz: every chart series is cut to kStatusPagePointsPerSeries
+// points however many intervals the stores hold.
+TEST(HttpObsTest, StatuszRendersAFixedNumberOfPointsPerSeries) {
+  constexpr uint64_t kIntervals = 5000;
+  constexpr size_t kCap = harness::kStatusPagePointsPerSeries;
+  Telemetry telemetry;
+  telemetry.KeepFullHistory();
+  for (uint64_t k = 1; k <= kIntervals; ++k) {
+    const double t = 60.0 * static_cast<double>(k);
+    IntervalRow row;
+    row.interval = k;
+    row.sim_time = t;
+    for (int class_id : {1, 2, 3}) {
+      telemetry.slo.Observe(class_id, k, t, k % 3 == 0 ? 0.5 : 1.5);
+      IntervalClassSample sample;
+      sample.class_id = class_id;
+      sample.completed_in_interval = 10;
+      sample.stage_gateway_queue_seconds = 1e-4 * class_id;
+      sample.stage_dispatch_seconds = 2e-4;
+      sample.stage_execute_seconds = 1e-3 + 1e-7 * static_cast<double>(k);
+      row.classes.push_back(sample);
+    }
+    telemetry.recorder.Append(std::move(row));
+  }
+  ASSERT_EQ(telemetry.recorder.size(), kIntervals);
+
+  HttpServer server(HttpServerOptions{});
+  server.AddHandler("/statusz", [&telemetry] {
+    return HttpResponse{
+        200, "text/html; charset=utf-8",
+        harness::RenderStatusPage(harness::StatusPageInfo{}, &telemetry)};
+  });
+  ASSERT_TRUE(server.Start().ok());
+  const std::string html = BodyOf(HttpFetch(server.port(), "/statusz"));
+  server.Stop();
+  ASSERT_NE(html.find("SLO attainment"), std::string::npos);
+  ASSERT_NE(html.find("Latency breakdown"), std::string::npos);
+
+  // Three attainment lines, each cut to exactly the cap.
+  const std::vector<size_t> lines = PointCounts(html, "polyline");
+  ASSERT_GE(lines.size(), 3u);
+  size_t at_cap = 0;
+  for (size_t count : lines) {
+    EXPECT_LE(count, kCap);
+    if (count == kCap) ++at_cap;
+  }
+  EXPECT_GE(at_cap, 3u);
+  // Three stacked bands; a band's outline walks its top edge and back
+  // along its bottom edge.
+  const std::vector<size_t> bands = PointCounts(html, "polygon");
+  ASSERT_EQ(bands.size(), 3u);
+  for (size_t count : bands) EXPECT_LE(count, 2 * kCap);
 }
 
 }  // namespace

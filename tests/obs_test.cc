@@ -737,6 +737,172 @@ TEST(SloMonitorTest, EventJsonCarriesTypeTag) {
 }
 
 // ---------------------------------------------------------------------
+// Telemetry history: the live window vs. KeepFullHistory()
+
+/// The four per-interval stores at their stand-alone default capacity,
+/// kFullHistoryIntervals.
+struct StandaloneStores {
+  PlannerAuditLog audit;
+  TimeSeriesRecorder recorder;
+  PredictionLedger ledger;
+  SloMonitor slo;
+};
+
+/// Writes `intervals` planner cycles for classes 1 (OLAP) and 3 (OLTP)
+/// in RecordPlanAudit's order: resolve last cycle's prediction, observe
+/// attainment, audit, time-series row, predict the next cycle. Odd
+/// intervals miss the SLO and even ones meet it, so each class closes
+/// one violation event per two intervals.
+template <typename Stores>
+void FeedIntervals(Stores* stores, uint64_t intervals) {
+  for (uint64_t k = 1; k <= intervals; ++k) {
+    const double t = 60.0 * static_cast<double>(k);
+    const double ratio = k % 2 == 1 ? 0.8 : 1.2;
+    for (int class_id : {1, 3}) {
+      const double measured = 0.5 + 0.001 * static_cast<double>(k);
+      stores->ledger.Observe(k, class_id, measured);
+      stores->slo.Observe(class_id, k, t, ratio);
+    }
+    stores->audit.Add(MakeAuditRecord(k));
+    stores->recorder.Append(MakeIntervalRow(k));
+    for (int class_id : {1, 3}) {
+      stores->ledger.Predict(k, class_id, class_id == 3,
+                             0.5 + 0.0011 * static_cast<double>(k + 1),
+                             1e-6 * static_cast<double>(k));
+    }
+  }
+}
+
+template <typename Stores>
+std::string AuditJsonl(const Stores& stores) {
+  std::ostringstream out;
+  stores.audit.WriteJsonl(out);
+  return out.str();
+}
+
+constexpr uint64_t kHistoryTestIntervals = 1000;
+
+TEST(TelemetryHistoryTest, LiveWindowKeepsLatestIntervalsWithExactCounters) {
+  constexpr uint64_t kIntervals = kHistoryTestIntervals;
+  constexpr size_t kWindow = kLiveHistoryIntervals;
+  Telemetry telemetry;
+  EXPECT_FALSE(telemetry.keeps_full_history());
+  FeedIntervals(&telemetry, kIntervals);
+
+  EXPECT_EQ(telemetry.audit.size(), kWindow);
+  EXPECT_EQ(telemetry.audit.dropped(), kIntervals - kWindow);
+  EXPECT_EQ(telemetry.audit.records().front().interval,
+            kIntervals - kWindow + 1);
+  EXPECT_EQ(telemetry.audit.records().back().interval, kIntervals);
+
+  EXPECT_EQ(telemetry.recorder.size(), kWindow);
+  EXPECT_EQ(telemetry.recorder.dropped(), kIntervals - kWindow);
+  EXPECT_EQ(telemetry.recorder.Rows().back().interval, kIntervals);
+
+  // Two predictions per interval; the window counts predictions.
+  EXPECT_EQ(telemetry.ledger.size(), kWindow);
+  EXPECT_EQ(telemetry.ledger.dropped(), 2 * kIntervals - kWindow);
+  EXPECT_EQ(telemetry.ledger.Records().back().predicted_at, kIntervals);
+
+  for (int class_id : {1, 3}) {
+    EXPECT_EQ(telemetry.ledger.StatsFor(class_id).count, kWindow);
+    EXPECT_EQ(telemetry.slo.AttainmentSeries(class_id).size(), kWindow);
+    // Exact over every interval, not just the kept ones.
+    EXPECT_EQ(telemetry.slo.intervals_observed(class_id), kIntervals);
+    EXPECT_DOUBLE_EQ(telemetry.slo.OverallAttainment(class_id), 0.5);
+    EXPECT_EQ(telemetry.slo.EventCount(class_id), kIntervals / 2);
+  }
+  // Both classes close kIntervals / 2 events; the window keeps the last.
+  EXPECT_EQ(telemetry.slo.Events().size(), kWindow);
+  EXPECT_EQ(telemetry.slo.events_dropped(), kIntervals - kWindow);
+  EXPECT_EQ(telemetry.slo.Events().back().end_interval, kIntervals - 1);
+}
+
+TEST(TelemetryHistoryTest, FullHistoryMatchesStandaloneStores) {
+  constexpr uint64_t kIntervals = kHistoryTestIntervals;
+  Telemetry telemetry;
+  telemetry.KeepFullHistory();
+  EXPECT_TRUE(telemetry.keeps_full_history());
+  FeedIntervals(&telemetry, kIntervals);
+  StandaloneStores before;
+  FeedIntervals(&before, kIntervals);
+
+  EXPECT_EQ(telemetry.audit.size(), kIntervals);
+  EXPECT_EQ(telemetry.audit.dropped(), 0u);
+  EXPECT_EQ(telemetry.recorder.size(), kIntervals);
+  EXPECT_EQ(telemetry.recorder.dropped(), 0u);
+  EXPECT_EQ(telemetry.ledger.size(), 2 * kIntervals);
+  EXPECT_EQ(telemetry.ledger.dropped(), 0u);
+  EXPECT_EQ(telemetry.slo.Events().size(), kIntervals);
+  EXPECT_EQ(telemetry.slo.events_dropped(), 0u);
+
+  // Every export is byte-identical to the stand-alone stores'.
+  EXPECT_EQ(AuditJsonl(telemetry), AuditJsonl(before));
+  std::ostringstream rows;
+  std::ostringstream rows_before;
+  telemetry.recorder.WriteCsv(rows);
+  before.recorder.WriteCsv(rows_before);
+  EXPECT_EQ(rows.str(), rows_before.str());
+  std::ostringstream predictions;
+  std::ostringstream predictions_before;
+  telemetry.ledger.WriteCsv(predictions);
+  before.ledger.WriteCsv(predictions_before);
+  EXPECT_EQ(predictions.str(), predictions_before.str());
+  std::ostringstream events;
+  std::ostringstream events_before;
+  telemetry.slo.WriteEventsJsonl(events);
+  before.slo.WriteEventsJsonl(events_before);
+  EXPECT_EQ(events.str(), events_before.str());
+  for (int class_id : {1, 3}) {
+    EXPECT_EQ(telemetry.slo.AttainmentSeries(class_id),
+              before.slo.AttainmentSeries(class_id));
+    const ResidualStats stats = telemetry.ledger.StatsFor(class_id);
+    const ResidualStats stats_before = before.ledger.StatsFor(class_id);
+    EXPECT_EQ(stats.count, kIntervals - 1);
+    EXPECT_EQ(stats.count, stats_before.count);
+    EXPECT_EQ(stats.mean_abs_error, stats_before.mean_abs_error);
+    EXPECT_EQ(stats.p95_abs_error, stats_before.p95_abs_error);
+    EXPECT_EQ(stats.bias, stats_before.bias);
+  }
+
+  // The live window is the tail of the full history.
+  Telemetry live;
+  FeedIntervals(&live, kIntervals);
+  const std::string full = AuditJsonl(telemetry);
+  size_t tail = full.size();
+  for (size_t line = 0; line <= kLiveHistoryIntervals; ++line) {
+    tail = full.rfind('\n', tail - 1);
+  }
+  EXPECT_EQ(AuditJsonl(live), full.substr(tail + 1));
+}
+
+TEST(TelemetryHistoryTest, ShrinkingCapacityCountsTheDroppedEntries) {
+  StandaloneStores stores;
+  FeedIntervals(&stores, 10);
+  stores.audit.set_capacity(4);
+  stores.recorder.set_capacity(4);
+  stores.ledger.set_capacity(4);
+  stores.slo.set_capacity(4);
+  EXPECT_EQ(stores.audit.size(), 4u);
+  EXPECT_EQ(stores.audit.dropped(), 6u);
+  EXPECT_EQ(stores.audit.records().front().interval, 7u);
+  EXPECT_EQ(stores.recorder.size(), 4u);
+  EXPECT_EQ(stores.recorder.dropped(), 6u);
+  EXPECT_EQ(stores.ledger.size(), 4u);
+  EXPECT_EQ(stores.ledger.dropped(), 16u);
+  EXPECT_EQ(stores.ledger.StatsFor(1).count, 4u);
+  EXPECT_EQ(stores.slo.AttainmentSeries(1).size(), 4u);
+  EXPECT_EQ(stores.slo.Events().size(), 4u);
+  EXPECT_EQ(stores.slo.events_dropped(), 6u);
+  EXPECT_EQ(stores.slo.EventCount(1), 5u);
+  // The newest pending predictions survived and still resolve.
+  stores.ledger.Observe(11, 1, 0.5);
+  stores.ledger.Observe(11, 3, 0.5);
+  EXPECT_EQ(stores.ledger.StatsFor(3).count, 4u);
+  EXPECT_TRUE(stores.ledger.Records().back().resolved);
+}
+
+// ---------------------------------------------------------------------
 // SVG chart rendering
 
 TEST(SvgTest, HtmlEscapeCoversMarkupCharacters) {
@@ -1062,6 +1228,88 @@ TEST_F(SchedulerAuditTest, CancelledQueryClosesSpanAsCancelled) {
   if (qs.interceptor().cancelled_total() > 0) {
     EXPECT_TRUE(found_cancelled);
   }
+}
+
+// The planner reads nothing back from the telemetry stores: over 1 000
+// control intervals of a steady OLAP + OLTP trickle, the plans are the
+// same with no telemetry, with the live window and with full history,
+// while the windowed stores stay at kLiveHistoryIntervals.
+TEST(SchedulerHistoryTest, LiveWindowLeavesThePlansUnchanged) {
+  constexpr uint64_t kCycles = 1000;
+  constexpr double kInterval = 10.0;
+  const double horizon = kInterval * static_cast<double>(kCycles);
+  auto run = [&](Telemetry* telemetry, uint64_t* cycles) {
+    sim::Simulator simulator;
+    engine::ExecutionEngine engine(&simulator, engine::EngineConfig(),
+                                   Rng(5));
+    sched::ServiceClassSet classes = sched::MakePaperClasses();
+    sched::QuerySchedulerConfig config;
+    config.control_interval_seconds = kInterval;
+    config.telemetry = telemetry;
+    sched::QueryScheduler qs(&simulator, &engine, &classes, config);
+    qs.Start(horizon);
+    uint64_t id = 0;
+    for (double t = 1.0; t < horizon; t += 2.0) {
+      const bool olap = id % 10 == 0;
+      workload::Query query =
+          olap ? MakeOlapQuery(id, 1 + static_cast<int>(id / 10) % 2,
+                               30000.0)
+               : MakeOltpQuery(id, static_cast<int>(id % 8));
+      ++id;
+      simulator.ScheduleAt(t, [&qs, query] {
+        qs.Submit(query, [](const workload::QueryRecord&) {});
+      });
+    }
+    simulator.RunUntil(horizon);
+    *cycles = qs.planning_cycles();
+    return qs.limit_history();
+  };
+
+  uint64_t cycles_off = 0;
+  uint64_t cycles_live = 0;
+  uint64_t cycles_full = 0;
+  Telemetry live;
+  Telemetry full;
+  full.KeepFullHistory();
+  const auto history_off = run(nullptr, &cycles_off);
+  const auto history_live = run(&live, &cycles_live);
+  const auto history_full = run(&full, &cycles_full);
+
+  EXPECT_EQ(cycles_off, kCycles);
+  EXPECT_EQ(cycles_live, kCycles);
+  EXPECT_EQ(cycles_full, kCycles);
+  ASSERT_EQ(history_live.size(), history_off.size());
+  ASSERT_EQ(history_full.size(), history_off.size());
+  for (const auto& [class_id, series] : history_off) {
+    ASSERT_EQ(series.size(), kCycles);
+    const sim::TimeSeries& with_live = history_live.at(class_id);
+    const sim::TimeSeries& with_full = history_full.at(class_id);
+    ASSERT_EQ(with_live.size(), kCycles);
+    ASSERT_EQ(with_full.size(), kCycles);
+    for (size_t i = 0; i < kCycles; ++i) {
+      EXPECT_EQ(with_live.at(i).value, series.at(i).value) << i;
+      EXPECT_EQ(with_full.at(i).value, series.at(i).value) << i;
+    }
+  }
+
+  EXPECT_EQ(live.audit.size(), kLiveHistoryIntervals);
+  EXPECT_EQ(live.audit.size() + live.audit.dropped(), kCycles);
+  EXPECT_EQ(live.recorder.size(), kLiveHistoryIntervals);
+  EXPECT_LE(live.ledger.size(), kLiveHistoryIntervals);
+  EXPECT_EQ(full.audit.size(), kCycles);
+  EXPECT_EQ(full.recorder.size(), kCycles);
+  for (int class_id : {1, 2, 3}) {
+    EXPECT_EQ(live.slo.AttainmentSeries(class_id).size(),
+              kLiveHistoryIntervals);
+    EXPECT_EQ(live.slo.intervals_observed(class_id), kCycles);
+    EXPECT_EQ(live.slo.EventCount(class_id),
+              full.slo.EventCount(class_id));
+    EXPECT_EQ(live.slo.OverallAttainment(class_id),
+              full.slo.OverallAttainment(class_id));
+  }
+  // The live window holds the last cycles' records, bit for bit.
+  EXPECT_EQ(ToJson(live.audit.records().back()),
+            ToJson(full.audit.records().back()));
 }
 
 }  // namespace

@@ -662,6 +662,65 @@ TEST(RtRuntimeTest, LiveTelemetryKeepsNoPerQueryState) {
   EXPECT_EQ(stats.completed, static_cast<uint64_t>(kQueries));
 }
 
+// A live server keeps a fixed window of planner history: at time scale
+// 6000 the planner runs every 10 ms wall, so well past the window every
+// per-interval store and the scheduler's cost-limit history hold
+// kLiveHistoryIntervals entries while the counters cover every cycle.
+// With KeepFullHistory() the same run keeps every cycle.
+TEST(RtRuntimeTest, LiveStoresKeepAWindowOfPlannerHistory) {
+  constexpr uint64_t kCycles = 3 * obs::kLiveHistoryIntervals;
+  for (bool full : {false, true}) {
+    obs::Telemetry telemetry;
+    if (full) telemetry.KeepFullHistory();
+    RuntimeOptions options;
+    options.time_scale = 6000.0;
+    options.scheduler.control_interval_seconds = 60.0;
+    options.telemetry = &telemetry;
+    Runtime runtime(sched::MakePaperClasses(), options);
+    runtime.Start();
+    workload::TpccWorkload oltp(workload::TpccWorkloadParams{},
+                                /*seed=*/5);
+    auto cycles = [&runtime] {
+      return runtime.clock().Run(
+          [&runtime] { return runtime.scheduler().planning_cycles(); });
+    };
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; cycles() < kCycles && WallSecondsSince(start) < 60.0;
+         ++i) {
+      workload::Query query = oltp.Next();
+      query.class_id = 3;
+      query.client_id = i % 8;
+      runtime.gateway().Offer(std::move(query));
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    Runtime::Stats stats = runtime.Shutdown();
+    ASSERT_GE(stats.planning_cycles, kCycles) << "full " << full;
+
+    const size_t kept =
+        full ? stats.planning_cycles : obs::kLiveHistoryIntervals;
+    EXPECT_EQ(telemetry.audit.size(), kept) << "full " << full;
+    EXPECT_EQ(telemetry.audit.size() + telemetry.audit.dropped(),
+              stats.planning_cycles);
+    EXPECT_EQ(telemetry.audit.records().back().interval,
+              stats.planning_cycles);
+    EXPECT_EQ(telemetry.recorder.size(), kept);
+    EXPECT_EQ(telemetry.recorder.size() + telemetry.recorder.dropped(),
+              stats.planning_cycles);
+    if (!full) {
+      EXPECT_LE(telemetry.ledger.size(), obs::kLiveHistoryIntervals);
+      EXPECT_LE(telemetry.slo.Events().size(),
+                obs::kLiveHistoryIntervals + 3);
+    }
+    for (const auto& [class_id, history] :
+         runtime.scheduler().limit_history()) {
+      EXPECT_EQ(history.size(), kept) << "class " << class_id;
+      EXPECT_EQ(telemetry.slo.AttainmentSeries(class_id).size(), kept);
+      EXPECT_EQ(telemetry.slo.intervals_observed(class_id),
+                stats.planning_cycles);
+    }
+  }
+}
+
 // An idle gateway is idle at once, also when told to wait without
 // bound: +inf must not overflow into a past (or UB) deadline.
 TEST(RtRuntimeTest, WaitIdleWithoutBoundOnAnIdleGateway) {

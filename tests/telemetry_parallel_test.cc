@@ -66,6 +66,8 @@ TEST(TelemetryParallelTest, RegistryCountsStayExactUnderContention) {
 
 TEST(TelemetryParallelTest, AuditAndRecorderAcceptConcurrentWriters) {
   Telemetry telemetry;
+  // Every write is checked below, so keep more than the live window.
+  telemetry.KeepFullHistory();
 
   harness::ThreadPool pool(kWorkers);
   for (int w = 0; w < kWorkers; ++w) {
@@ -118,6 +120,8 @@ TEST(TelemetryParallelTest, AuditAndRecorderAcceptConcurrentWriters) {
 
 TEST(TelemetryParallelTest, LedgerAndSloMonitorPartitionByClass) {
   Telemetry telemetry;
+  // Every write is checked below, so keep more than the live window.
+  telemetry.KeepFullHistory();
 
   // Each worker owns one class id and walks its own interval sequence —
   // the per-class monotonicity contract — while all of them share the

@@ -45,8 +45,8 @@ void RunOpenLoop(double per_client_rate) {
   oltp.Start();
   simulator.RunUntil(schedule.total_seconds());
 
-  const metrics::PeriodClassStats& olap_cell = collector.Get(0, 1);
-  const metrics::PeriodClassStats& oltp_cell = collector.Get(0, 3);
+  const metrics::ClassOutcome& olap_cell = collector.Get(0, 1);
+  const metrics::ClassOutcome& oltp_cell = collector.Get(0, 3);
   std::printf("%15.4f  %9llu  %11llu  %9.3f  %12.3f  %10.3f\n",
               per_client_rate * 6.0,
               static_cast<unsigned long long>(olap.queries_submitted()),

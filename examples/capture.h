@@ -1,7 +1,7 @@
 // --capture-trace support shared by the serving CLIs (rt_cli serve-style
 // runs, net_cli --mode=serve, cluster_cli --mode=route): builds a
-// replay::TraceRecorder from flags, and assembles the live-run summary
-// segment from the scheduler's state at shutdown.
+// replay::TraceRecorder from flags, and stops it with the live-run summary
+// segment (replay::MakeCaptureSummary) at shutdown.
 //
 // Flags:
 //   --capture-trace=PATH    record every offered query to PATH
@@ -17,9 +17,6 @@
 #include "common/flags.h"
 #include "obs/telemetry.h"
 #include "replay/recorder.h"
-#include "scheduler/query_scheduler.h"
-#include "scheduler/service_class.h"
-#include "scheduler/utility.h"
 
 namespace qsched_examples {
 
@@ -49,42 +46,6 @@ inline std::unique_ptr<qsched::replay::TraceRecorder> MaybeStartCapture(
   }
   std::printf("capturing trace to %s\n", path.c_str());
   return recorder;
-}
-
-/// The live-run context for the trailing summary segment: per class, the
-/// scheduler's latest accepted measurement, the SLO monitor's rolling
-/// attainment, and the live plan's cost limit; plus total utility under
-/// the default utility function (the same one the shadow planner scores
-/// candidates with, so WHATIF lines compare like with like).
-inline qsched::replay::TraceSummary MakeCaptureSummary(
-    const qsched::sched::QuerySchedulerConfig& config,
-    qsched::sched::QueryScheduler* scheduler,
-    const qsched::sched::ServiceClassSet& classes,
-    qsched::obs::Telemetry* telemetry) {
-  qsched::replay::TraceSummary summary;
-  summary.control_interval_seconds = config.control_interval_seconds;
-  summary.system_cost_limit = config.system_cost_limit;
-  summary.allocator =
-      config.allocator ==
-              qsched::sched::QuerySchedulerConfig::Allocator::kGreedyAuction
-          ? 1u
-          : 0u;
-  const qsched::sched::UtilityFunction utility;
-  for (const qsched::sched::ServiceClassSpec& spec : classes.classes()) {
-    qsched::replay::TraceSummaryClass cls;
-    cls.class_id = static_cast<uint32_t>(spec.class_id);
-    auto it = scheduler->measurements().find(spec.class_id);
-    cls.measured = it != scheduler->measurements().end() ? it->second : 0.0;
-    cls.attainment = telemetry != nullptr
-                         ? telemetry->slo.RollingAttainment(spec.class_id)
-                         : 0.0;
-    cls.cost_limit = scheduler->current_plan().LimitFor(spec.class_id);
-    summary.total_utility +=
-        cls.measured > 0.0 ? utility.Evaluate(spec, cls.measured)
-                           : utility.FromGoalRatio(spec, 0.0);
-    summary.classes.push_back(cls);
-  }
-  return summary;
 }
 
 /// Stops the recorder (no-op on nullptr), writes `summary` when given,

@@ -72,6 +72,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/telemetry.h"
+#include "replay/shadow_planner.h"
 #include "rt/runtime.h"
 #include "scheduler/service_class.h"
 
@@ -197,9 +198,8 @@ int RunServe(const qsched::FlagParser& flags) {
   if (http != nullptr) http->Stop();
   if (recorder != nullptr) {
     const qsched::replay::TraceSummary summary =
-        qsched_examples::MakeCaptureSummary(options.scheduler,
-                                            &runtime.scheduler(), classes,
-                                            &telemetry);
+        qsched::replay::MakeCaptureSummary(options.scheduler,
+                                           runtime.scheduler(), classes);
     qsched_examples::StopCapture(recorder.get(), &summary);
   }
 

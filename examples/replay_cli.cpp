@@ -49,6 +49,7 @@
 //                        interval)
 //   --out=PATH           also write the report to PATH
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -274,6 +275,15 @@ int RunWhatif(const qsched::FlagParser& flags) {
         flags.GetDouble("control-interval", 15.0);
     options.base.system_cost_limit =
         flags.GetDouble("cost-limit", 300000.0);
+  }
+  // Both widths divide completion times into buckets.
+  if (!std::isfinite(options.base.control_interval_seconds) ||
+      options.base.control_interval_seconds <= 0.0 ||
+      !std::isfinite(options.report_interval_seconds) ||
+      options.report_interval_seconds < 0.0) {
+    std::fprintf(stderr, "control and report intervals must be finite, "
+                         "the control interval > 0\n");
+    return 1;
   }
 
   qsched::replay::ShadowPlanner planner(trace, options);

@@ -47,6 +47,7 @@
 #include "harness/html_report.h"
 #include "http_obs.h"
 #include "obs/telemetry.h"
+#include "replay/shadow_planner.h"
 #include "rt/gateway.h"
 #include "rt/loadgen.h"
 #include "rt/runtime.h"
@@ -214,9 +215,8 @@ int main(int argc, char** argv) {
   if (http != nullptr) http->Stop();
   if (recorder != nullptr) {
     const qsched::replay::TraceSummary summary =
-        qsched_examples::MakeCaptureSummary(options.scheduler,
-                                            &runtime.scheduler(), classes,
-                                            &telemetry);
+        qsched::replay::MakeCaptureSummary(options.scheduler,
+                                           runtime.scheduler(), classes);
     qsched_examples::StopCapture(recorder.get(), &summary);
   }
 

@@ -274,15 +274,18 @@ ExperimentResult RunExperiment(const ExperimentConfig& config,
   result.period_seconds = bench.schedule.period_seconds();
   for (const sched::ServiceClassSpec& spec : bench.classes.classes()) {
     int id = spec.class_id;
-    result.velocity_series[id] = collector->VelocitySeries(id);
-    result.response_series[id] = collector->ResponseSeries(id);
-    result.completed_series[id] = collector->CompletedSeries(id);
+    for (int p = 0; p < result.num_periods; ++p) {
+      const metrics::ClassOutcome& cell = collector->Get(p, id);
+      result.velocity_series[id].push_back(cell.MeanVelocity());
+      result.response_series[id].push_back(cell.MeanResponse());
+      result.completed_series[id].push_back(static_cast<int>(cell.completed));
+    }
     result.periods_meeting_goal[id] = collector->PeriodsMeetingGoal(spec);
     result.attainment_ratio[id] = collector->AttainmentRatio(spec);
-    metrics::PeriodClassStats overall = collector->Overall(id);
+    metrics::ClassOutcome overall = collector->Overall(id);
     result.overall_velocity[id] = overall.MeanVelocity();
     result.overall_response[id] = overall.MeanResponse();
-    result.overall_completed[id] = overall.completed;
+    result.overall_completed[id] = static_cast<int>(overall.completed);
   }
   if (bench.qs != nullptr) {
     result.limit_history = bench.qs->limit_history();
@@ -401,9 +404,9 @@ double MeasureOltpResponse(const ExperimentConfig& base, int oltp_clients,
   bench.simulator.RunUntil(bench.schedule.total_seconds());
 
   // Read only the second (post-warmup) period.
-  const metrics::PeriodClassStats& oltp_cell = collector->Get(1, 3);
+  const metrics::ClassOutcome& oltp_cell = collector->Get(1, 3);
   if (out_olap_throughput != nullptr) {
-    const metrics::PeriodClassStats& olap_cell = collector->Get(1, 1);
+    const metrics::ClassOutcome& olap_cell = collector->Get(1, 1);
     *out_olap_throughput =
         olap_cell.completed / bench.schedule.period_seconds();
   }

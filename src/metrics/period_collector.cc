@@ -3,7 +3,7 @@
 namespace qsched::metrics {
 
 namespace {
-const PeriodClassStats kEmptyStats;
+const ClassOutcome kEmptyStats;
 }  // namespace
 
 PeriodCollector::PeriodCollector(const workload::WorkloadSchedule* schedule)
@@ -12,70 +12,27 @@ PeriodCollector::PeriodCollector(const workload::WorkloadSchedule* schedule)
 void PeriodCollector::Add(const workload::QueryRecord& record) {
   ++total_records_;
   int period = schedule_->PeriodAt(record.end_time);
-  PeriodClassStats& cell = cells_[{period, record.class_id}];
-  if (record.cancelled) {
-    cell.cancelled += 1;
-    return;
-  }
-  cell.completed += 1;
-  cell.velocity_sum += record.Velocity();
-  cell.response_sum += record.ResponseSeconds();
-  cell.exec_sum += record.ExecSeconds();
+  cells_[{period, record.class_id}].Add(record);
 }
 
-const PeriodClassStats& PeriodCollector::Get(int period,
-                                             int class_id) const {
+const ClassOutcome& PeriodCollector::Get(int period, int class_id) const {
   auto it = cells_.find({period, class_id});
   return it != cells_.end() ? it->second : kEmptyStats;
 }
 
-PeriodClassStats PeriodCollector::Overall(int class_id) const {
-  PeriodClassStats total;
+ClassOutcome PeriodCollector::Overall(int class_id) const {
+  ClassOutcome total;
   for (const auto& [key, cell] : cells_) {
-    if (key.second != class_id) continue;
-    total.cancelled += cell.cancelled;
-    total.completed += cell.completed;
-    total.velocity_sum += cell.velocity_sum;
-    total.response_sum += cell.response_sum;
-    total.exec_sum += cell.exec_sum;
+    if (key.second == class_id) total += cell;
   }
   return total;
-}
-
-std::vector<double> PeriodCollector::VelocitySeries(int class_id) const {
-  std::vector<double> out;
-  for (int p = 0; p < num_periods(); ++p) {
-    out.push_back(Get(p, class_id).MeanVelocity());
-  }
-  return out;
-}
-
-std::vector<double> PeriodCollector::ResponseSeries(int class_id) const {
-  std::vector<double> out;
-  for (int p = 0; p < num_periods(); ++p) {
-    out.push_back(Get(p, class_id).MeanResponse());
-  }
-  return out;
-}
-
-std::vector<int> PeriodCollector::CompletedSeries(int class_id) const {
-  std::vector<int> out;
-  for (int p = 0; p < num_periods(); ++p) {
-    out.push_back(Get(p, class_id).completed);
-  }
-  return out;
 }
 
 int PeriodCollector::PeriodsMeetingGoal(
     const sched::ServiceClassSpec& spec) const {
   int met = 0;
   for (int p = 0; p < num_periods(); ++p) {
-    const PeriodClassStats& cell = Get(p, spec.class_id);
-    double measured = spec.goal_kind == sched::GoalKind::kVelocityFloor
-                          ? cell.MeanVelocity()
-                          : cell.MeanResponse();
-    if (cell.completed == 0) continue;
-    if (spec.GoalRatio(measured) >= 1.0) ++met;
+    if (Get(p, spec.class_id).MeetsGoal(spec)) ++met;
   }
   return met;
 }

@@ -2,34 +2,13 @@
 #define QSCHED_METRICS_PERIOD_COLLECTOR_H_
 
 #include <map>
-#include <string>
-#include <vector>
 
+#include "metrics/class_outcome.h"
 #include "scheduler/service_class.h"
 #include "workload/client.h"
 #include "workload/schedule.h"
 
 namespace qsched::metrics {
-
-/// Aggregates for one (period, class) cell of a figure.
-struct PeriodClassStats {
-  int completed = 0;
-  /// Queries cancelled by administration; excluded from the means.
-  int cancelled = 0;
-  double velocity_sum = 0.0;
-  double response_sum = 0.0;
-  double exec_sum = 0.0;
-
-  double MeanVelocity() const {
-    return completed > 0 ? velocity_sum / completed : 0.0;
-  }
-  double MeanResponse() const {
-    return completed > 0 ? response_sum / completed : 0.0;
-  }
-  double MeanExec() const {
-    return completed > 0 ? exec_sum / completed : 0.0;
-  }
-};
 
 /// Buckets finished queries into the experiment's periods (by completion
 /// time) — the quantity Figures 4-6 plot per period.
@@ -40,19 +19,13 @@ class PeriodCollector {
   void Add(const workload::QueryRecord& record);
 
   int num_periods() const { return schedule_->num_periods(); }
-  const PeriodClassStats& Get(int period, int class_id) const;
+  const ClassOutcome& Get(int period, int class_id) const;
 
   /// Per-class aggregate over all periods.
-  PeriodClassStats Overall(int class_id) const;
+  ClassOutcome Overall(int class_id) const;
 
-  /// The figure's per-period series for one class: velocity means for
-  /// OLAP classes, response means for OLTP classes.
-  std::vector<double> VelocitySeries(int class_id) const;
-  std::vector<double> ResponseSeries(int class_id) const;
-  std::vector<int> CompletedSeries(int class_id) const;
-
-  /// Number of periods in which `spec`'s goal was met, judging velocity
-  /// goals against mean velocity and response goals against mean response.
+  /// Number of periods in which `spec`'s goal was met
+  /// (ClassOutcome::MeetsGoal).
   int PeriodsMeetingGoal(const sched::ServiceClassSpec& spec) const;
 
   /// SLO attainment: PeriodsMeetingGoal over the periods that completed
@@ -65,7 +38,7 @@ class PeriodCollector {
  private:
   const workload::WorkloadSchedule* schedule_;
   /// (period, class) -> stats.
-  std::map<std::pair<int, int>, PeriodClassStats> cells_;
+  std::map<std::pair<int, int>, ClassOutcome> cells_;
   uint64_t total_records_ = 0;
 };
 

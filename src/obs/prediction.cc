@@ -14,7 +14,10 @@ void PredictionLedger::Predict(uint64_t interval, int class_id,
                                bool is_oltp, double predicted,
                                double model_slope) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (records_.size() >= capacity_) PopOldestLocked();
+  if (records_.empty() || records_.back().predicted_at != interval) {
+    if (intervals_ >= capacity_) PopOldestIntervalLocked();
+    ++intervals_;
+  }
   PredictionRecord record;
   record.predicted_at = interval;
   record.target_interval = interval + 1;
@@ -46,21 +49,25 @@ void PredictionLedger::Observe(uint64_t interval, int class_id,
 void PredictionLedger::set_capacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
   capacity_ = capacity == 0 ? 1 : capacity;
-  while (records_.size() > capacity_) PopOldestLocked();
+  while (intervals_ > capacity_) PopOldestIntervalLocked();
   for (auto& [class_id, errors] : errors_) {
     while (errors.size() > capacity_) errors.pop_front();
   }
 }
 
-void PredictionLedger::PopOldestLocked() {
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->second == &records_.front()) {
-      pending_.erase(it);
-      break;
+void PredictionLedger::PopOldestIntervalLocked() {
+  const uint64_t oldest = records_.front().predicted_at;
+  while (!records_.empty() && records_.front().predicted_at == oldest) {
+    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+      if (it->second == &records_.front()) {
+        pending_.erase(it);
+        break;
+      }
     }
+    records_.pop_front();
+    ++dropped_;
   }
-  records_.pop_front();
-  ++dropped_;
+  --intervals_;
 }
 
 size_t PredictionLedger::size() const {

@@ -50,7 +50,9 @@ struct ResidualStats {
 /// The prediction-vs-actual ledger: every per-class model prediction the
 /// planner makes, matched against the next interval's measurement, with
 /// residual statistics over the latest `capacity` resolved predictions
-/// per class. Thread-safe; bounded (drop-oldest).
+/// per class. Thread-safe; bounded: it keeps the predictions of the
+/// latest `capacity` intervals (predicted_at values), dropping a whole
+/// interval at a time, oldest first.
 class PredictionLedger {
  public:
   explicit PredictionLedger(size_t capacity = kFullHistoryIntervals);
@@ -69,8 +71,9 @@ class PredictionLedger {
   /// interval) or the pending target differs.
   void Observe(uint64_t interval, int class_id, double observed);
 
-  /// Changes the capacity; records beyond it go oldest first and count
-  /// as dropped, and each class keeps at most that many residuals.
+  /// Changes the capacity in intervals; the records of intervals beyond
+  /// it go oldest first and count as dropped, and each class keeps at
+  /// most that many residuals.
   void set_capacity(size_t capacity);
 
   size_t size() const;
@@ -90,12 +93,15 @@ class PredictionLedger {
   void WriteJsonl(std::ostream& out) const;
 
  private:
-  /// Drops the oldest record, detaching it from pending_ first.
-  void PopOldestLocked();
+  /// Drops every record of the oldest interval, detaching each from
+  /// pending_ first.
+  void PopOldestIntervalLocked();
 
   mutable std::mutex mu_;
   size_t capacity_;
   std::deque<PredictionRecord> records_;
+  /// Distinct predicted_at values in records_ (appended in order).
+  size_t intervals_ = 0;
   /// class_id -> index of the pending (unresolved) record, tracked by
   /// value identity via the record's target_interval.
   std::map<int, PredictionRecord*> pending_;

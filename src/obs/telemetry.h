@@ -21,7 +21,7 @@ namespace qsched::obs {
 /// outlives every component it hands the pointer to.
 ///
 /// History: the four per-interval stores keep the last
-/// kLiveHistoryIntervals entries each (audit records, recorder rows,
+/// kLiveHistoryIntervals intervals each (audit records, recorder rows,
 /// ledger predictions — one per class per interval — and per-class SLO
 /// attainment points and closed events), so a live server's memory does
 /// not grow with uptime; their exact counters (dropped(),

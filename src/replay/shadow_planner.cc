@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "harness/parallel.h"
+#include "metrics/class_outcome.h"
 #include "replay/template_codec.h"
 #include "scheduler/utility.h"
 #include "sim/simulator.h"
@@ -30,12 +31,42 @@ std::string SanitizeName(const std::string& name) {
   return out.empty() ? std::string("unnamed") : out;
 }
 
-struct ClassAccumulator {
-  double metric_sum = 0.0;
-  uint64_t completed = 0;
-  /// interval bucket -> (metric sum, count) for attainment.
-  std::map<int64_t, std::pair<double, uint64_t>> buckets;
-};
+/// Scores one class's measured outcome under the default utility
+/// function, the one the planner optimizes. A class with no completions
+/// scores at goal ratio 0: a silent class must read as a violated one,
+/// not a free one.
+ShadowClassOutcome ScoreClass(const sched::ServiceClassSpec& spec,
+                              double measured, bool has_data) {
+  const sched::UtilityFunction utility;
+  ShadowClassOutcome cls;
+  cls.class_id = spec.class_id;
+  cls.measured = measured;
+  if (has_data) {
+    cls.goal_ratio = spec.GoalRatio(measured);
+    cls.utility = utility.Evaluate(spec, measured);
+  } else {
+    cls.utility = utility.FromGoalRatio(spec, 0.0);
+  }
+  return cls;
+}
+
+/// Scores every class from a tally's run means and bucket attainment.
+ShadowOutcome ScoreTally(const metrics::OutcomeTally& tally,
+                         const sched::ServiceClassSet& classes) {
+  ShadowOutcome out;
+  for (const sched::ServiceClassSpec& spec : classes.classes()) {
+    const metrics::ClassOutcome& total = tally.Total(spec.class_id);
+    ShadowClassOutcome cls =
+        ScoreClass(spec, total.Measured(spec), total.completed > 0);
+    cls.completed = total.completed;
+    cls.attainment = tally.Attainment(spec.class_id);
+    out.completed += total.completed;
+    out.cancelled += total.cancelled;
+    out.total_utility += cls.utility;
+    out.classes.push_back(cls);
+  }
+  return out;
+}
 
 /// A fully private DES world for one candidate: same seed everywhere, so
 /// two candidates differ only by the plan they run under.
@@ -48,7 +79,7 @@ struct ClassAccumulator {
 /// later pop, the fire order — and with it the codec's stateful
 /// Materialize sequence and every floating-point sum below — is the one
 /// scheduling all arrivals up front would give. Completions fold straight
-/// into per-class accumulators.
+/// into an OutcomeTally bucketed by the report interval.
 class ShadowWorld {
  public:
   ShadowWorld(const ShadowPlannerOptions& options,
@@ -61,12 +92,12 @@ class ShadowWorld {
         base_ns_(records.empty() ? 0 : records.front().arrival_ns),
         config_(WithoutTelemetry(candidate.config)),
         frozen_plan_(candidate.frozen_plan),
-        report_interval_(options.report_interval_seconds > 0.0
-                             ? options.report_interval_seconds
-                             : config_.control_interval_seconds),
         engine_(&sim_, options.engine, Rng(options.seed).Fork(1)),
         scheduler_(&sim_, &engine_, &classes, config_),
-        codec_(options.tpch, options.tpcc, options.seed + 1) {
+        codec_(options.tpch, options.tpcc, options.seed + 1),
+        tally_(classes, options.report_interval_seconds > 0.0
+                            ? options.report_interval_seconds
+                            : config_.control_interval_seconds) {
     if (frozen_plan_) {
       sched::SchedulingPlan plan;
       plan.cost_limits = candidate.frozen_limits;
@@ -91,10 +122,10 @@ class ShadowWorld {
       scheduler_.Start(last_arrival + 2.0 * config_.control_interval_seconds);
     }
     sim_.RunToCompletion();
-    out_.planning_cycles = scheduler_.planning_cycles();
-    out_.peak_pending_events = sim_.slot_capacity();
-    Score();
-    return std::move(out_);
+    ShadowOutcome out = ScoreTally(tally_, classes_);
+    out.planning_cycles = scheduler_.planning_cycles();
+    out.peak_pending_events = sim_.slot_capacity();
+    return out;
   }
 
  private:
@@ -121,61 +152,9 @@ class ShadowWorld {
     const TraceRecord& record = records_[i];
     workload::Query query = codec_.Materialize(record);
     query.id = record.trace_id;
-    scheduler_.Submit(query,
-                      [this](const workload::QueryRecord& r) { Complete(r); });
-  }
-
-  void Complete(const workload::QueryRecord& record) {
-    if (record.cancelled) {
-      ++out_.cancelled;
-      return;
-    }
-    ++out_.completed;
-    const sched::ServiceClassSpec* spec = classes_.Find(record.class_id);
-    if (spec == nullptr) return;
-    const double value = spec->goal_kind == sched::GoalKind::kVelocityFloor
-                             ? record.Velocity()
-                             : record.ResponseSeconds();
-    ClassAccumulator& a = acc_[record.class_id];
-    a.metric_sum += value;
-    ++a.completed;
-    const int64_t bucket =
-        static_cast<int64_t>(std::floor(record.end_time / report_interval_));
-    auto& slot = a.buckets[bucket];
-    slot.first += value;
-    ++slot.second;
-  }
-
-  void Score() {
-    const sched::UtilityFunction utility;
-    for (const sched::ServiceClassSpec& spec : classes_.classes()) {
-      ShadowClassOutcome cls;
-      cls.class_id = spec.class_id;
-      auto it = acc_.find(spec.class_id);
-      if (it != acc_.end() && it->second.completed > 0) {
-        const ClassAccumulator& a = it->second;
-        cls.completed = a.completed;
-        cls.measured = a.metric_sum / static_cast<double>(a.completed);
-        cls.goal_ratio = spec.GoalRatio(cls.measured);
-        cls.utility = utility.Evaluate(spec, cls.measured);
-        uint64_t met = 0;
-        for (const auto& [bucket, sums] : a.buckets) {
-          const double bucket_measured =
-              sums.first / static_cast<double>(sums.second);
-          if (spec.GoalRatio(bucket_measured) >= 1.0) ++met;
-        }
-        cls.attainment = a.buckets.empty()
-                             ? 0.0
-                             : static_cast<double>(met) /
-                                   static_cast<double>(a.buckets.size());
-      } else {
-        // No completions: score the class at goal ratio 0 — a silent
-        // class must read as a violated one, not a free one.
-        cls.utility = utility.FromGoalRatio(spec, 0.0);
-      }
-      out_.total_utility += cls.utility;
-      out_.classes.push_back(cls);
-    }
+    scheduler_.Submit(query, [this](const workload::QueryRecord& r) {
+      tally_.Add(r);
+    });
   }
 
   const sched::ServiceClassSet& classes_;
@@ -185,16 +164,14 @@ class ShadowWorld {
   const uint64_t base_ns_;
   const sched::QuerySchedulerConfig config_;
   const bool frozen_plan_;
-  /// Attainment bucket width in model seconds.
-  const double report_interval_;
   sim::Simulator sim_;
   engine::ExecutionEngine engine_;
   sched::QueryScheduler scheduler_;
   TemplateCodec codec_;
   /// Rank reserved for records_[0]; records_[i] fires under rank + i.
   uint64_t first_rank_ = 0;
-  std::map<int, ClassAccumulator> acc_;
-  ShadowOutcome out_;
+  /// Buckets completions by the report interval for attainment.
+  metrics::OutcomeTally tally_;
 };
 
 }  // namespace
@@ -240,23 +217,39 @@ std::vector<ShadowOutcome> ShadowPlanner::Evaluate(
 ShadowOutcome ShadowPlanner::LiveOutcome() const {
   ShadowOutcome out;
   out.name = "live";
-  const sched::UtilityFunction utility;
   for (const TraceSummaryClass& sc : live_summary_.classes) {
     ShadowClassOutcome cls;
     cls.class_id = static_cast<int>(sc.class_id);
     cls.measured = sc.measured;
-    cls.attainment = sc.attainment;
     const sched::ServiceClassSpec* spec = classes_.Find(cls.class_id);
-    if (spec != nullptr && sc.measured > 0.0) {
-      cls.goal_ratio = spec->GoalRatio(sc.measured);
-      cls.utility = utility.Evaluate(*spec, sc.measured);
-    } else if (spec != nullptr) {
-      cls.utility = utility.FromGoalRatio(*spec, 0.0);
+    if (spec != nullptr) {
+      cls = ScoreClass(*spec, sc.measured, sc.measured > 0.0);
     }
+    cls.attainment = sc.attainment;
     out.total_utility += cls.utility;
     out.classes.push_back(cls);
   }
   return out;
+}
+
+TraceSummary MakeCaptureSummary(const sched::QuerySchedulerConfig& config,
+                                const sched::QueryScheduler& scheduler,
+                                const sched::ServiceClassSet& classes) {
+  const ShadowOutcome live = ScoreTally(scheduler.outcomes(), classes);
+  TraceSummary summary;
+  summary.control_interval_seconds = config.control_interval_seconds;
+  summary.system_cost_limit = config.system_cost_limit;
+  summary.total_utility = live.total_utility;
+  summary.allocator =
+      config.allocator == sched::QuerySchedulerConfig::Allocator::kGreedyAuction
+          ? 1u
+          : 0u;
+  for (const ShadowClassOutcome& cls : live.classes) {
+    summary.classes.push_back(
+        {static_cast<uint32_t>(cls.class_id), cls.attainment, cls.measured,
+         scheduler.current_plan().LimitFor(cls.class_id)});
+  }
+  return summary;
 }
 
 std::string ShadowPlanner::FormatReport(
@@ -332,7 +325,8 @@ Result<std::vector<PlanCandidate>> ParsePlanCandidates(
         const std::string value_text = token.substr(eq + 1);
         char* parse_end = nullptr;
         value = std::strtod(value_text.c_str(), &parse_end);
-        if (parse_end == value_text.c_str() || *parse_end != '\0') {
+        if (parse_end == value_text.c_str() || *parse_end != '\0' ||
+            !std::isfinite(value)) {
           return Status::InvalidArgument(
               StrPrintf("bad plan token value: '%s'", token.c_str()));
         }

@@ -32,7 +32,8 @@ struct PlanCandidate {
 
 struct ShadowClassOutcome {
   int class_id = 0;
-  /// Velocity (OLAP) or mean response seconds (OLTP) over the whole run.
+  /// Mean velocity (OLAP) or mean response seconds (OLTP) over every
+  /// completion of the run (metrics::ClassOutcome::Measured).
   double measured = 0.0;
   /// ServiceClassSpec::GoalRatio of `measured` (>= 1 == goal met).
   double goal_ratio = 0.0;
@@ -127,6 +128,18 @@ class ShadowPlanner {
   std::vector<TraceRecord> sorted_;
 };
 
+/// The live-run summary a capturing server writes at shutdown: per class,
+/// the run mean over every query `scheduler` handed back (velocity for
+/// OLAP, response seconds for OLTP), its attainment over control-interval
+/// buckets and the live plan's cost limit; plus the total utility of
+/// those means, scored by the function LiveOutcome and the candidate
+/// worlds use. So a WHATIF live line and a DES line measure the same
+/// thing. Call it once completions have stopped (after the runtime's
+/// Shutdown): the scheduler's tally is not synchronized.
+TraceSummary MakeCaptureSummary(const sched::QuerySchedulerConfig& config,
+                                const sched::QueryScheduler& scheduler,
+                                const sched::ServiceClassSet& classes);
+
 /// Parses a candidate list: candidates separated by ',', each a '+'-
 /// joined set of overrides applied to `base`:
 ///   base            the capture-side config unchanged
@@ -137,6 +150,7 @@ class ShadowPlanner {
 ///   limit=X         system cost limit (timerons)
 ///   olap=X          frozen static plan: X split evenly over OLAP
 ///                   classes, remainder to OLTP; no replanning
+/// Every value must be finite.
 Result<std::vector<PlanCandidate>> ParsePlanCandidates(
     const std::string& spec, const sched::QuerySchedulerConfig& base,
     const sched::ServiceClassSet& classes);

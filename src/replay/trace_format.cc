@@ -8,6 +8,7 @@
 #include <array>
 #include <bit>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 
 #include "common/strings.h"
@@ -120,6 +121,11 @@ bool DecodeSummary(const uint8_t* data, size_t size, TraceSummary* out) {
       !cur.Read(&out->system_cost_limit) ||
       !cur.Read(&out->total_utility) || !cur.Read(&out->allocator) ||
       !cur.Read(&n)) {
+    return false;
+  }
+  // Readers copy the interval into a scheduler config and divide by it.
+  if (!std::isfinite(out->control_interval_seconds) ||
+      out->control_interval_seconds <= 0.0) {
     return false;
   }
   if (cur.remaining() / kSummaryClassBytes < n) return false;

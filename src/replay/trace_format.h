@@ -71,15 +71,18 @@ struct TraceHeader {
 /// what actually happened. Truncated traces simply lack it.
 struct TraceSummaryClass {
   uint32_t class_id = 0;
-  /// Rolling SLO attainment over the capture's control intervals.
+  /// Fraction of the capture's control intervals with completions of the
+  /// class whose per-query mean met the goal.
   double attainment = 0.0;
-  /// Velocity (OLAP) or average response seconds (OLTP) at capture end.
+  /// Mean velocity (OLAP) or mean response seconds (OLTP) over every
+  /// query of the class completed during the capture.
   double measured = 0.0;
   /// The class cost limit of the plan live at capture end.
   double cost_limit = 0.0;
 };
 
 struct TraceSummary {
+  /// Finite and > 0; a reader drops a summary segment that is not.
   double control_interval_seconds = 0.0;
   double system_cost_limit = 0.0;
   /// Total utility of the measured per-class performance under the

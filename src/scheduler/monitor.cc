@@ -35,10 +35,7 @@ void Monitor::AddRecord(const workload::QueryRecord& record) {
     VelocityHistogram(record.class_id)->Record(record.Velocity());
   }
   Accumulator& acc = acc_[record.class_id];
-  acc.completed += 1;
-  acc.velocity_sum += record.Velocity();
-  acc.response_sum += record.ResponseSeconds();
-  acc.exec_sum += record.ExecSeconds();
+  acc.outcome.Add(record);
   if (record.trace != nullptr && record.trace->HasExecStart()) {
     // The gateway stamps `completed` only after this callback returns,
     // so the execute stage is measured to "now" — the record is on the
@@ -58,16 +55,10 @@ std::map<int, ClassIntervalStats> Monitor::Harvest() {
   double elapsed = simulator_->Now() - window_start_;
   for (const auto& [class_id, acc] : acc_) {
     ClassIntervalStats stats;
-    stats.completed = acc.completed;
-    if (acc.completed > 0) {
-      double n = static_cast<double>(acc.completed);
-      stats.mean_velocity = acc.velocity_sum / n;
-      stats.mean_response_seconds = acc.response_sum / n;
-      stats.mean_exec_seconds = acc.exec_sum / n;
-    }
+    stats.outcome = acc.outcome;
     if (elapsed > 0.0) {
       stats.throughput_per_second =
-          static_cast<double>(acc.completed) / elapsed;
+          static_cast<double>(acc.outcome.completed) / elapsed;
     }
     if (acc.traced > 0) {
       double traced = static_cast<double>(acc.traced);

@@ -4,6 +4,7 @@
 #include <map>
 #include <mutex>
 
+#include "metrics/class_outcome.h"
 #include "obs/telemetry.h"
 #include "sim/clock.h"
 #include "workload/client.h"
@@ -13,10 +14,7 @@ namespace qsched::sched {
 /// Aggregates of the queries of one class that finished during one
 /// control interval.
 struct ClassIntervalStats {
-  int completed = 0;
-  double mean_velocity = 0.0;
-  double mean_response_seconds = 0.0;
-  double mean_exec_seconds = 0.0;
+  metrics::ClassOutcome outcome;
   double throughput_per_second = 0.0;
   /// Mean wall-clock stage durations over the completions that carried a
   /// QueryStageTrace (the real-time runtime attaches one per query; pure
@@ -60,10 +58,7 @@ class Monitor {
   obs::Histogram* VelocityHistogram(int class_id);
 
   struct Accumulator {
-    int completed = 0;
-    double velocity_sum = 0.0;
-    double response_sum = 0.0;
-    double exec_sum = 0.0;
+    metrics::ClassOutcome outcome;
     /// Completions that carried a stage trace, and their stage sums.
     int traced = 0;
     double stage_gateway_queue_sum = 0.0;

@@ -104,8 +104,8 @@ void MplController::ControlOnce() {
   std::map<int, ClassIntervalStats> stats = monitor_.Harvest();
   for (auto& [class_id, velocity] : measured_velocity_) {
     auto it = stats.find(class_id);
-    if (it != stats.end() && it->second.completed > 0) {
-      velocity = it->second.mean_velocity;
+    if (it != stats.end() && it->second.outcome.completed > 0) {
+      velocity = it->second.outcome.MeanVelocity();
     }
   }
 

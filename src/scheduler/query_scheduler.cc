@@ -24,7 +24,8 @@ QueryScheduler::QueryScheduler(sim::Clock* simulator,
       detector_(config.detector),
       oltp_model_(config.oltp_model),
       solver_(config.solver),
-      greedy_(config.greedy) {
+      greedy_(config.greedy),
+      outcomes_(*classes, config.control_interval_seconds) {
   interceptor_.set_on_arrived([this](const qp::QueryInfoRecord& record) {
     dispatcher_.OnArrived(record);
   });
@@ -131,6 +132,7 @@ void QueryScheduler::Submit(const workload::Query& query,
         query, [this, on_complete = std::move(on_complete)](
                    const workload::QueryRecord& record) {
           snapshot_.RecordCompletion(record);
+          outcomes_.Add(record);
           if (on_complete) on_complete(record);
         });
     return;
@@ -139,6 +141,7 @@ void QueryScheduler::Submit(const workload::Query& query,
       query, [this, on_complete = std::move(on_complete)](
                  const workload::QueryRecord& record) {
         monitor_.AddRecord(record);
+        outcomes_.Add(record);
         if (on_complete) on_complete(record);
       });
 }
@@ -181,10 +184,10 @@ void QueryScheduler::PlanOnce() {
     raw[spec.class_id] = -1.0;
     if (spec.type == workload::WorkloadType::kOlap) {
       auto it = stats.find(spec.class_id);
-      if (it != stats.end() && it->second.completed > 0) {
-        raw[spec.class_id] = it->second.mean_velocity;
+      if (it != stats.end() && it->second.outcome.completed > 0) {
+        raw[spec.class_id] = it->second.outcome.MeanVelocity();
         measured_[spec.class_id] =
-            alpha * it->second.mean_velocity +
+            alpha * raw[spec.class_id] +
             (1.0 - alpha) * measured_[spec.class_id];
       }
       continue;
@@ -192,9 +195,9 @@ void QueryScheduler::PlanOnce() {
     // OLTP measurement source depends on the control mode.
     if (config_.control_oltp_directly) {
       auto it = stats.find(spec.class_id);
-      if (it != stats.end() && it->second.completed > 0) {
-        raw[spec.class_id] = it->second.mean_response_seconds;
-        measured_[spec.class_id] = it->second.mean_response_seconds;
+      if (it != stats.end() && it->second.outcome.completed > 0) {
+        raw[spec.class_id] = it->second.outcome.MeanResponse();
+        measured_[spec.class_id] = raw[spec.class_id];
       }
     } else {
       double sampled =
@@ -323,7 +326,8 @@ void QueryScheduler::RecordPlanAudit(
     cls.goal_ratio = spec.GoalRatio(cls.measured_smoothed);
     auto stats_it = stats.find(spec.class_id);
     if (stats_it != stats.end()) {
-      cls.completed_in_interval = stats_it->second.completed;
+      cls.completed_in_interval =
+          static_cast<int>(stats_it->second.outcome.completed);
     }
     cls.queue_depth = dispatcher_.QueuedFor(spec.class_id);
     cls.running = interceptor_.running_count(spec.class_id);

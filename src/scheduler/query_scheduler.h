@@ -6,6 +6,7 @@
 #include <map>
 
 #include "engine/execution_engine.h"
+#include "metrics/class_outcome.h"
 #include "obs/telemetry.h"
 #include "qp/interceptor.h"
 #include "scheduler/dispatcher.h"
@@ -120,6 +121,11 @@ class QueryScheduler : public workload::QueryFrontend {
   uint64_t planning_cycles() const { return planning_cycles_; }
   /// Latest accepted per-class measurements (velocity / response).
   const std::map<int, double>& measurements() const { return measured_; }
+  /// Every completion handed back so far, bypassed OLTP included: the
+  /// per-query run outcome per class and its attainment over
+  /// control-interval buckets. Read it where completions are serialized
+  /// (the clock's core lock on the rt runtime) or after the run.
+  const metrics::OutcomeTally& outcomes() const { return outcomes_; }
 
  private:
   /// Cached metric handles for one service class (registered once in the
@@ -168,6 +174,7 @@ class QueryScheduler : public workload::QueryFrontend {
   OltpResponseModel oltp_model_;
   PerformanceSolver solver_;
   GreedyAllocator greedy_;
+  metrics::OutcomeTally outcomes_;
 
   /// Latest accepted measurement per class (velocity or response).
   std::map<int, double> measured_;

@@ -33,11 +33,11 @@ TEST(PeriodCollectorTest, BucketsByCompletionPeriod) {
   collector.Add(MakeRecord(1, 5.0, 0.5));
   collector.Add(MakeRecord(1, 15.0, 1.0));
   collector.Add(MakeRecord(1, 99.0, 1.0));  // clamps to last period
-  EXPECT_EQ(collector.Get(0, 1).completed, 1);
-  EXPECT_EQ(collector.Get(1, 1).completed, 2);
-  EXPECT_EQ(collector.Get(0, 2).completed, 0);
+  EXPECT_EQ(collector.Get(0, 1).completed, 1u);
+  EXPECT_EQ(collector.Get(1, 1).completed, 2u);
+  EXPECT_EQ(collector.Get(0, 2).completed, 0u);
   EXPECT_EQ(collector.total_records(), 3u);
-  EXPECT_EQ(collector.Overall(1).completed, 3);
+  EXPECT_EQ(collector.Overall(1).completed, 3u);
 }
 
 TEST(PeriodCollectorTest, SeriesAndGoals) {
@@ -47,10 +47,9 @@ TEST(PeriodCollectorTest, SeriesAndGoals) {
   metrics::PeriodCollector collector(&schedule);
   collector.Add(MakeRecord(1, 5.0, 0.3));
   collector.Add(MakeRecord(1, 15.0, 0.9));
-  auto velocity = collector.VelocitySeries(1);
-  ASSERT_EQ(velocity.size(), 2u);
-  EXPECT_NEAR(velocity[0], 0.3, 1e-9);
-  EXPECT_NEAR(velocity[1], 0.9, 1e-9);
+  ASSERT_EQ(collector.num_periods(), 2);
+  EXPECT_NEAR(collector.Get(0, 1).MeanVelocity(), 0.3, 1e-9);
+  EXPECT_NEAR(collector.Get(1, 1).MeanVelocity(), 0.9, 1e-9);
 
   sched::ServiceClassSpec spec;
   spec.class_id = 1;

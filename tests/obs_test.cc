@@ -576,18 +576,19 @@ TEST(PredictionLedgerTest, DropOldestKeepsPendingPointerSafe) {
   PredictionLedger ledger(2);
   ledger.Predict(1, 1, false, 0.5, 0.0);
   ledger.Predict(1, 2, false, 0.6, 0.0);
-  // Capacity reached: this drops class 1's pending record.
-  ledger.Predict(1, 3, false, 0.7, 0.0);
+  ledger.Predict(2, 3, false, 0.7, 0.0);
+  // A third interval: this drops both of interval 1's pending records.
+  ledger.Predict(3, 3, false, 0.8, 0.0);
   EXPECT_EQ(ledger.size(), 2u);
-  EXPECT_EQ(ledger.dropped(), 1u);
-  // Resolving the dropped class must not touch freed memory or record
+  EXPECT_EQ(ledger.dropped(), 2u);
+  // Resolving the dropped classes must not touch freed memory or record
   // a residual.
   ledger.Observe(2, 1, 0.4);
+  ledger.Observe(2, 2, 0.4);
   EXPECT_EQ(ledger.StatsFor(1).count, 0u);
-  // The surviving classes still resolve normally.
-  ledger.Observe(2, 2, 0.6);
-  ledger.Observe(2, 3, 0.7);
-  EXPECT_EQ(ledger.StatsFor(2).count, 1u);
+  EXPECT_EQ(ledger.StatsFor(2).count, 0u);
+  // The surviving class still resolves normally.
+  ledger.Observe(4, 3, 0.7);
   EXPECT_EQ(ledger.StatsFor(3).count, 1u);
 }
 
@@ -748,24 +749,24 @@ struct StandaloneStores {
   SloMonitor slo;
 };
 
-/// Writes `intervals` planner cycles for classes 1 (OLAP) and 3 (OLTP)
-/// in RecordPlanAudit's order: resolve last cycle's prediction, observe
-/// attainment, audit, time-series row, predict the next cycle. Odd
-/// intervals miss the SLO and even ones meet it, so each class closes
-/// one violation event per two intervals.
+/// Writes `intervals` planner cycles for the paper's classes 1, 2 (OLAP)
+/// and 3 (OLTP) in RecordPlanAudit's order: resolve last cycle's
+/// prediction, observe attainment, audit, time-series row, predict the
+/// next cycle. Odd intervals miss the SLO and even ones meet it, so each
+/// class closes one violation event per two intervals.
 template <typename Stores>
 void FeedIntervals(Stores* stores, uint64_t intervals) {
   for (uint64_t k = 1; k <= intervals; ++k) {
     const double t = 60.0 * static_cast<double>(k);
     const double ratio = k % 2 == 1 ? 0.8 : 1.2;
-    for (int class_id : {1, 3}) {
+    for (int class_id : {1, 2, 3}) {
       const double measured = 0.5 + 0.001 * static_cast<double>(k);
       stores->ledger.Observe(k, class_id, measured);
       stores->slo.Observe(class_id, k, t, ratio);
     }
     stores->audit.Add(MakeAuditRecord(k));
     stores->recorder.Append(MakeIntervalRow(k));
-    for (int class_id : {1, 3}) {
+    for (int class_id : {1, 2, 3}) {
       stores->ledger.Predict(k, class_id, class_id == 3,
                              0.5 + 0.0011 * static_cast<double>(k + 1),
                              1e-6 * static_cast<double>(k));
@@ -799,12 +800,14 @@ TEST(TelemetryHistoryTest, LiveWindowKeepsLatestIntervalsWithExactCounters) {
   EXPECT_EQ(telemetry.recorder.dropped(), kIntervals - kWindow);
   EXPECT_EQ(telemetry.recorder.Rows().back().interval, kIntervals);
 
-  // Two predictions per interval; the window counts predictions.
-  EXPECT_EQ(telemetry.ledger.size(), kWindow);
-  EXPECT_EQ(telemetry.ledger.dropped(), 2 * kIntervals - kWindow);
+  // Three predictions per interval; the window counts intervals.
+  EXPECT_EQ(telemetry.ledger.size(), 3 * kWindow);
+  EXPECT_EQ(telemetry.ledger.dropped(), 3 * (kIntervals - kWindow));
+  EXPECT_EQ(telemetry.ledger.Records().front().predicted_at,
+            kIntervals - kWindow + 1);
   EXPECT_EQ(telemetry.ledger.Records().back().predicted_at, kIntervals);
 
-  for (int class_id : {1, 3}) {
+  for (int class_id : {1, 2, 3}) {
     EXPECT_EQ(telemetry.ledger.StatsFor(class_id).count, kWindow);
     EXPECT_EQ(telemetry.slo.AttainmentSeries(class_id).size(), kWindow);
     // Exact over every interval, not just the kept ones.
@@ -812,9 +815,9 @@ TEST(TelemetryHistoryTest, LiveWindowKeepsLatestIntervalsWithExactCounters) {
     EXPECT_DOUBLE_EQ(telemetry.slo.OverallAttainment(class_id), 0.5);
     EXPECT_EQ(telemetry.slo.EventCount(class_id), kIntervals / 2);
   }
-  // Both classes close kIntervals / 2 events; the window keeps the last.
+  // Each class closes kIntervals / 2 events; the window keeps the last.
   EXPECT_EQ(telemetry.slo.Events().size(), kWindow);
-  EXPECT_EQ(telemetry.slo.events_dropped(), kIntervals - kWindow);
+  EXPECT_EQ(telemetry.slo.events_dropped(), 3 * kIntervals / 2 - kWindow);
   EXPECT_EQ(telemetry.slo.Events().back().end_interval, kIntervals - 1);
 }
 
@@ -831,9 +834,9 @@ TEST(TelemetryHistoryTest, FullHistoryMatchesStandaloneStores) {
   EXPECT_EQ(telemetry.audit.dropped(), 0u);
   EXPECT_EQ(telemetry.recorder.size(), kIntervals);
   EXPECT_EQ(telemetry.recorder.dropped(), 0u);
-  EXPECT_EQ(telemetry.ledger.size(), 2 * kIntervals);
+  EXPECT_EQ(telemetry.ledger.size(), 3 * kIntervals);
   EXPECT_EQ(telemetry.ledger.dropped(), 0u);
-  EXPECT_EQ(telemetry.slo.Events().size(), kIntervals);
+  EXPECT_EQ(telemetry.slo.Events().size(), 3 * kIntervals / 2);
   EXPECT_EQ(telemetry.slo.events_dropped(), 0u);
 
   // Every export is byte-identical to the stand-alone stores'.
@@ -853,7 +856,7 @@ TEST(TelemetryHistoryTest, FullHistoryMatchesStandaloneStores) {
   telemetry.slo.WriteEventsJsonl(events);
   before.slo.WriteEventsJsonl(events_before);
   EXPECT_EQ(events.str(), events_before.str());
-  for (int class_id : {1, 3}) {
+  for (int class_id : {1, 2, 3}) {
     EXPECT_EQ(telemetry.slo.AttainmentSeries(class_id),
               before.slo.AttainmentSeries(class_id));
     const ResidualStats stats = telemetry.ledger.StatsFor(class_id);
@@ -888,12 +891,14 @@ TEST(TelemetryHistoryTest, ShrinkingCapacityCountsTheDroppedEntries) {
   EXPECT_EQ(stores.audit.records().front().interval, 7u);
   EXPECT_EQ(stores.recorder.size(), 4u);
   EXPECT_EQ(stores.recorder.dropped(), 6u);
-  EXPECT_EQ(stores.ledger.size(), 4u);
-  EXPECT_EQ(stores.ledger.dropped(), 16u);
+  // The ledger keeps the predictions of the last 4 intervals.
+  EXPECT_EQ(stores.ledger.size(), 12u);
+  EXPECT_EQ(stores.ledger.dropped(), 18u);
+  EXPECT_EQ(stores.ledger.Records().front().predicted_at, 7u);
   EXPECT_EQ(stores.ledger.StatsFor(1).count, 4u);
   EXPECT_EQ(stores.slo.AttainmentSeries(1).size(), 4u);
   EXPECT_EQ(stores.slo.Events().size(), 4u);
-  EXPECT_EQ(stores.slo.events_dropped(), 6u);
+  EXPECT_EQ(stores.slo.events_dropped(), 11u);
   EXPECT_EQ(stores.slo.EventCount(1), 5u);
   // The newest pending predictions survived and still resolve.
   stores.ledger.Observe(11, 1, 0.5);
@@ -1295,7 +1300,7 @@ TEST(SchedulerHistoryTest, LiveWindowLeavesThePlansUnchanged) {
   EXPECT_EQ(live.audit.size(), kLiveHistoryIntervals);
   EXPECT_EQ(live.audit.size() + live.audit.dropped(), kCycles);
   EXPECT_EQ(live.recorder.size(), kLiveHistoryIntervals);
-  EXPECT_LE(live.ledger.size(), kLiveHistoryIntervals);
+  EXPECT_EQ(live.ledger.size(), 3 * kLiveHistoryIntervals);
   EXPECT_EQ(full.audit.size(), kCycles);
   EXPECT_EQ(full.recorder.size(), kCycles);
   for (int class_id : {1, 2, 3}) {

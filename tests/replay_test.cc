@@ -125,6 +125,31 @@ TEST(ReplayTest, TraceRoundTripRandomized) {
   }
 }
 
+// A CRC-valid summary whose control interval is not finite and positive
+// would reach a scheduler config: the reader drops it as corrupt and
+// keeps the records.
+TEST(ReplayTest, SummaryWithBadIntervalIsDropped) {
+  const std::vector<TraceRecord> records = RandomRecords(300, 21);
+  const std::string path = TempPath("bad_interval.bin");
+  for (double interval : {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(), 0.0,
+                          -15.0}) {
+    TraceWriterOptions options;
+    options.path = path;
+    TraceSummary summary;
+    summary.control_interval_seconds = interval;
+    summary.system_cost_limit = 300000.0;
+    summary.classes.push_back({3, 1.0, 0.125, 60000.0});
+    ASSERT_TRUE(WriteAll(options, records, &summary).ok());
+    Result<TraceReadResult> read = ReadTraceFile(path);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_FALSE(read.ValueOrDie().has_summary) << interval;
+    EXPECT_EQ(read.ValueOrDie().segments_corrupt, 1u) << interval;
+    EXPECT_TRUE(read.ValueOrDie().records == records) << interval;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ReplayTest, RotationChainReadsAllFiles) {
   const std::vector<TraceRecord> records = RandomRecords(2000, 9);
   const std::string path = TempPath("rotate.bin");
@@ -877,6 +902,13 @@ TEST(ReplayTest, ParsePlanCandidatesRejectsMalformed) {
   EXPECT_FALSE(ParsePlanCandidates("interval=abc", base, classes).ok());
   EXPECT_FALSE(ParsePlanCandidates("interval=-3", base, classes).ok());
   EXPECT_FALSE(ParsePlanCandidates("step=2", base, classes).ok());
+  // strtod reads these; none is a usable value.
+  EXPECT_FALSE(ParsePlanCandidates("interval=nan", base, classes).ok());
+  EXPECT_FALSE(ParsePlanCandidates("step=nan", base, classes).ok());
+  EXPECT_FALSE(ParsePlanCandidates("limit=inf", base, classes).ok());
+  EXPECT_FALSE(ParsePlanCandidates("olap=nan", base, classes).ok());
+  EXPECT_FALSE(ParsePlanCandidates("limit=nan", base, classes).ok());
+  EXPECT_FALSE(ParsePlanCandidates("interval=inf", base, classes).ok());
   Result<std::vector<PlanCandidate>> ok = ParsePlanCandidates(
       "base,limit=250000+interval=7.5+greedy", base, classes);
   ASSERT_TRUE(ok.ok());

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/telemetry.h"
+#include "replay/shadow_planner.h"
 #include "rt/gateway.h"
 #include "rt/loadgen.h"
 #include "rt/runtime.h"
@@ -317,6 +318,62 @@ TEST(RtRuntimeTest, GatewaySmoke) {
   EXPECT_GT(stats.timers_fired, 0u);
   EXPECT_GT(stats.model_seconds, 2.0 * options.time_scale * 0.9);
   EXPECT_GT(runtime.engine().queries_completed(), 0u);
+}
+
+// The capture summary's live line is the per-query mean over the run,
+// the estimator every what-if world uses: class 3's measured response is
+// the mean of every response the interceptor exported, and the OLAP
+// classes' measured velocity the mean of every velocity the Monitor saw.
+TEST(RtRuntimeTest, CaptureSummaryIsThePerQueryMean) {
+  obs::Telemetry telemetry;
+  RuntimeOptions options;
+  options.time_scale = 600.0;
+  options.seed = 42;
+  options.gateway.workers = 2;
+  options.scheduler.control_interval_seconds = 60.0;  // 0.1 s wall
+  options.telemetry = &telemetry;
+  const sched::ServiceClassSet classes = sched::MakePaperClasses();
+  Runtime runtime(classes, options);
+  runtime.Start();
+
+  workload::TpchWorkloadParams tpch;
+  tpch.scale_factor = 0.1;
+  workload::TpchWorkload olap1(tpch, /*seed=*/7);
+  workload::TpchWorkload olap2(tpch, /*seed=*/8);
+  workload::TpccWorkload oltp(workload::TpccWorkloadParams{}, /*seed=*/9);
+  LoadGenOptions load;
+  load.qps = 400.0;
+  load.duration_wall_seconds = 2.0;
+  load.seed = 42;
+  LoadGenerator loadgen(
+      &runtime.gateway(),
+      {{&olap1, 1, 15.0}, {&olap2, 2, 15.0}, {&oltp, 3, 70.0}}, load,
+      &telemetry);
+  loadgen.Start();
+  loadgen.Join();
+  Runtime::Stats stats =
+      runtime.Shutdown(/*drain_timeout_wall_seconds=*/120.0);
+  ASSERT_TRUE(stats.drained);
+  ASSERT_GE(stats.planning_cycles, 2u);
+
+  const replay::TraceSummary summary =
+      replay::MakeCaptureSummary(options.scheduler, runtime.scheduler(),
+                                 classes);
+  EXPECT_EQ(summary.control_interval_seconds, 60.0);
+  ASSERT_EQ(summary.classes.size(), 3u);
+  for (const replay::TraceSummaryClass& cls : summary.classes) {
+    const std::string labels = "class=\"" + std::to_string(cls.class_id) +
+                               "\"";
+    const obs::Histogram* hist = telemetry.registry.GetHistogram(
+        cls.class_id == 3 ? "qsched_response_seconds"
+                          : "qsched_monitor_velocity_ratio",
+        labels);
+    ASSERT_GT(hist->count(), 0u) << labels;
+    const double mean = hist->sum() / static_cast<double>(hist->count());
+    EXPECT_NEAR(cls.measured, mean, 1e-9 * mean) << labels;
+    EXPECT_GE(cls.attainment, 0.0);
+    EXPECT_LE(cls.attainment, 1.0);
+  }
 }
 
 // With default options the OLTP sampler runs until Shutdown: it still
@@ -707,7 +764,8 @@ TEST(RtRuntimeTest, LiveStoresKeepAWindowOfPlannerHistory) {
     EXPECT_EQ(telemetry.recorder.size() + telemetry.recorder.dropped(),
               stats.planning_cycles);
     if (!full) {
-      EXPECT_LE(telemetry.ledger.size(), obs::kLiveHistoryIntervals);
+      // One prediction per class per interval, for the whole window.
+      EXPECT_EQ(telemetry.ledger.size(), 3 * obs::kLiveHistoryIntervals);
       EXPECT_LE(telemetry.slo.Events().size(),
                 obs::kLiveHistoryIntervals + 3);
     }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "engine/execution_engine.h"
@@ -344,12 +347,49 @@ TEST(MonitorTest, HarvestAggregatesAndResets) {
   simulator.RunUntil(10.0);
   auto stats = monitor.Harvest();
   ASSERT_EQ(stats.count(1), 1u);
-  EXPECT_EQ(stats[1].completed, 2);
-  EXPECT_NEAR(stats[1].mean_velocity, 0.75, 1e-12);
-  EXPECT_NEAR(stats[1].mean_response_seconds, 4.0, 1e-12);
+  EXPECT_EQ(stats[1].outcome.completed, 2u);
+  EXPECT_NEAR(stats[1].outcome.MeanVelocity(), 0.75, 1e-12);
+  EXPECT_NEAR(stats[1].outcome.MeanResponse(), 4.0, 1e-12);
   EXPECT_NEAR(stats[1].throughput_per_second, 0.2, 1e-12);
   // Second harvest is empty.
   EXPECT_TRUE(monitor.Harvest().empty());
+}
+
+// Live completions reach the Monitor from the clock thread and gateway
+// workers while the planner harvests: every record lands in exactly one
+// harvest.
+TEST(MonitorTest, ConcurrentWritersLoseNoRecord) {
+  sim::Simulator simulator;
+  Monitor monitor(&simulator);
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 20000;
+  std::atomic<int> writers_done{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&monitor, &writers_done, w] {
+      workload::QueryRecord record;
+      record.class_id = 1 + w % 3;
+      record.end_time = 1.0;
+      for (int i = 0; i < kPerWriter; ++i) monitor.AddRecord(record);
+      writers_done.fetch_add(1);
+    });
+  }
+  uint64_t harvested = 0;
+  std::thread harvester([&] {
+    while (writers_done.load() < kWriters) {
+      for (const auto& [class_id, stats] : monitor.Harvest()) {
+        harvested += stats.outcome.completed;
+      }
+    }
+  });
+  for (std::thread& writer : writers) writer.join();
+  harvester.join();
+  for (const auto& [class_id, stats] : monitor.Harvest()) {
+    harvested += stats.outcome.completed;
+  }
+  EXPECT_EQ(harvested, static_cast<uint64_t>(kWriters) * kPerWriter);
+  EXPECT_EQ(monitor.records_total(),
+            static_cast<uint64_t>(kWriters) * kPerWriter);
 }
 
 TEST(SnapshotMonitorTest, SamplesLastFinishedPerClient) {

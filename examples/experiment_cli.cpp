@@ -251,16 +251,16 @@ int main(int argc, char** argv) {
                    audit_out.c_str());
       return 1;
     }
-    telemetry.audit.WriteJsonl(out);
+    telemetry.recorder.WriteJsonl(out);
     // SLO violation events share the stream, tagged
     // "type":"slo_violation" so audit readers can filter them.
     telemetry.slo.WriteEventsJsonl(out);
     std::printf("wrote %s (%zu records, %zu violation events, "
                 "%llu dropped)\n",
-                audit_out.c_str(), telemetry.audit.size(),
+                audit_out.c_str(), telemetry.recorder.size(),
                 telemetry.slo.Events().size(),
                 static_cast<unsigned long long>(
-                    telemetry.audit.dropped()));
+                    telemetry.recorder.dropped()));
   }
   if (!timeseries_csv.empty()) {
     std::ofstream out(timeseries_csv);

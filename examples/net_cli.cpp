@@ -235,7 +235,7 @@ int RunServe(const qsched::FlagParser& flags) {
     result.engine_queries_completed = runtime.engine().queries_completed();
     for (const qsched::sched::ServiceClassSpec& spec : classes.classes()) {
       result.interval_attainment[spec.class_id] =
-          telemetry.slo.RollingAttainment(spec.class_id);
+          telemetry.slo.OverallAttainment(spec.class_id);
     }
     qsched::harness::HtmlReportOptions report_options;
     report_options.title = "qsched run report: network front-end";

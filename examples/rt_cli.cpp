@@ -234,10 +234,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.planning_cycles),
               stats.model_seconds,
               stats.drained ? "" : "  [drain timeout!]");
+  // Share of the run's control intervals whose completions met the goal
+  // on average: the value the capture summary writes.
   for (const qsched::sched::ServiceClassSpec& spec : classes.classes()) {
     std::printf("  class %d (%s): attainment %.2f\n", spec.class_id,
                 spec.name.c_str(),
-                telemetry.slo.RollingAttainment(spec.class_id));
+                runtime.scheduler().outcomes().Attainment(spec.class_id));
   }
 
   std::string metrics_out = flags.GetString("metrics-out", "");
@@ -258,10 +260,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", audit_out.c_str());
       return 1;
     }
-    telemetry.audit.WriteJsonl(out);
+    telemetry.recorder.WriteJsonl(out);
     telemetry.slo.WriteEventsJsonl(out);
     std::printf("wrote %s (%zu records)\n", audit_out.c_str(),
-                telemetry.audit.size());
+                telemetry.recorder.size());
   }
   std::string report_html = flags.GetString("report-html", "");
   if (!report_html.empty()) {
@@ -284,7 +286,7 @@ int main(int argc, char** argv) {
     result.oltp_model_slope = runtime.scheduler().oltp_model().slope();
     for (const qsched::sched::ServiceClassSpec& spec : classes.classes()) {
       result.interval_attainment[spec.class_id] =
-          telemetry.slo.RollingAttainment(spec.class_id);
+          telemetry.slo.OverallAttainment(spec.class_id);
     }
     qsched::harness::HtmlReportOptions report_options;
     report_options.title = "qsched run report: real-time gateway";

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke test for experiment_cli's observability exports: runs a short
-# experiment with --trace-out / --metrics-out / --audit-out and validates
-# that each artifact is well-formed. Registered with CTest as
-# `experiment_cli_smoke`.
+# experiment with --trace-out / --metrics-out / --audit-out /
+# --timeseries-csv and validates that each artifact is well-formed and
+# that the audit JSONL and the time-series CSV print the same
+# per-interval values. Registered with CTest as `experiment_cli_smoke`.
 #
 # Usage: smoke_experiment_cli.sh <path-to-experiment_cli>
 set -eu
@@ -14,13 +15,14 @@ trap 'rm -rf "${OUT_DIR}"' EXIT
 TRACE="${OUT_DIR}/trace.json"
 METRICS="${OUT_DIR}/metrics.prom"
 AUDIT="${OUT_DIR}/audit.jsonl"
+CSV="${OUT_DIR}/timeseries.csv"
 
 "${CLI}" --controller=query-scheduler --seed=7 --period-seconds=120 \
   --control-interval=60 \
   --trace-out="${TRACE}" --metrics-out="${METRICS}" \
-  --audit-out="${AUDIT}" >/dev/null
+  --audit-out="${AUDIT}" --timeseries-csv="${CSV}" >/dev/null
 
-for artifact in "${TRACE}" "${METRICS}" "${AUDIT}"; do
+for artifact in "${TRACE}" "${METRICS}" "${AUDIT}" "${CSV}"; do
   if [ ! -s "${artifact}" ]; then
     echo "smoke: missing or empty artifact ${artifact}" >&2
     exit 1
@@ -87,9 +89,32 @@ for ev in events:
     assert ev["worst_ratio"] < 1.0, ev
 print(f"audit ok: {len(records)} records, {len(events)} violation events")
 EOF
+  # Both exports render the one per-interval record: one CSV line per
+  # (audit record, class), with the same printed values.
+  python3 - "${AUDIT}" "${CSV}" <<'EOF'
+import csv, json, sys
+keep = lambda text: text  # compare numbers as printed, not as parsed
+with open(sys.argv[1]) as f:
+    rows = [json.loads(line, parse_float=keep, parse_int=keep) for line in f]
+records = [r for r in rows if r.get("type") != "slo_violation"]
+with open(sys.argv[2]) as f:
+    lines = list(csv.DictReader(f))
+expected = [(rec, cls) for rec in records for cls in rec["classes"]]
+assert len(lines) == len(expected), (len(lines), len(expected))
+pairs = {"cost_limit": "enforced_limit", "measured": "measured_smoothed",
+         "admitted_cost": "running_cost", "goal_ratio": "goal_ratio"}
+for line, (rec, cls) in zip(lines, expected):
+    assert line["interval"] == rec["interval"], (line, rec["interval"])
+    assert line["class_id"] == cls["class_id"], (line, cls)
+    for column, key in pairs.items():
+        assert line[column] == cls[key], (rec["interval"], column,
+                                          line[column], cls[key])
+print(f"csv ok: {len(lines)} lines match the audit records")
+EOF
 else
   head -1 "${AUDIT}" | grep -q '"interval":1'
   head -1 "${AUDIT}" | grep -q '"enforced_limit"'
+  head -1 "${CSV}" | grep -q '^interval,sim_time,class_id'
 fi
 
 echo "smoke: all observability artifacts well-formed"

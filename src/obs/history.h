@@ -6,8 +6,8 @@
 namespace qsched::obs {
 
 /// Control intervals of planner history a live server keeps in each
-/// per-interval store of an obs::Telemetry (audit log, time-series
-/// recorder, prediction ledger, SLO attainment series and events): about
+/// per-interval store of an obs::Telemetry (time-series recorder,
+/// prediction ledger, SLO attainment series and events): about
 /// one model hour at the paper's 60 s control interval. The planner
 /// itself reads none of these stores; it acts on each interval's
 /// measurements only.

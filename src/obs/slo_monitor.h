@@ -44,7 +44,7 @@ class SloMonitor {
  public:
   /// Default points kept per class in the attainment series, and closed
   /// events kept across classes (drop-oldest), the default capacity of
-  /// the audit, time-series and ledger logs too.
+  /// the time-series recorder and the ledger too.
   static constexpr size_t kSeriesCapacity = kFullHistoryIntervals;
 
   struct Options {

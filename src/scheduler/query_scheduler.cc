@@ -300,38 +300,40 @@ void QueryScheduler::RecordPlanAudit(
   planning_cycles_counter_->Inc();
   planner_utility_gauge_->Set(target.predicted_utility);
 
-  obs::PlannerAuditRecord record;
-  record.interval = planning_cycles_;
-  record.sim_time = simulator_->Now();
-  record.system_cost_limit = config_.system_cost_limit;
-  record.oltp_response = oltp_response;
-  record.solver_utility = target.predicted_utility;
-  record.allocator =
+  obs::IntervalRow row;
+  row.interval = planning_cycles_;
+  row.sim_time = simulator_->Now();
+  row.system_cost_limit = config_.system_cost_limit;
+  row.oltp_response = oltp_response;
+  row.solver_wall_seconds = solver_wall_seconds;
+  row.solver_utility = target.predicted_utility;
+  row.allocator =
       config_.allocator == QuerySchedulerConfig::Allocator::kGreedyAuction
           ? "greedy-auction"
           : "utility-search";
-  obs::IntervalRow row;
-  row.interval = planning_cycles_;
-  row.sim_time = record.sim_time;
-  row.solver_wall_seconds = solver_wall_seconds;
-  row.solver_utility = target.predicted_utility;
   for (const ServiceClassSpec& spec : classes_->classes()) {
-    obs::PlannerAuditClass cls;
+    obs::IntervalClassSample cls;
     cls.class_id = spec.class_id;
     cls.is_oltp = spec.type == workload::WorkloadType::kOltp;
     cls.goal = spec.goal_value;
     auto raw_it = raw.find(spec.class_id);
     if (raw_it != raw.end()) cls.measured_raw = raw_it->second;
-    cls.measured_smoothed = measured_.at(spec.class_id);
-    cls.goal_ratio = spec.GoalRatio(cls.measured_smoothed);
+    cls.measured = measured_.at(spec.class_id);
+    cls.goal_ratio = spec.GoalRatio(cls.measured);
     auto stats_it = stats.find(spec.class_id);
     if (stats_it != stats.end()) {
       cls.completed_in_interval =
           static_cast<int>(stats_it->second.outcome.completed);
+      cls.stage_gateway_queue_seconds =
+          stats_it->second.mean_stage_gateway_queue_seconds;
+      cls.stage_dispatch_seconds =
+          stats_it->second.mean_stage_dispatch_seconds;
+      cls.stage_execute_seconds =
+          stats_it->second.mean_stage_execute_seconds;
     }
     cls.queue_depth = dispatcher_.QueuedFor(spec.class_id);
     cls.running = interceptor_.running_count(spec.class_id);
-    cls.running_cost = interceptor_.running_cost(spec.class_id);
+    cls.admitted_cost = interceptor_.running_cost(spec.class_id);
     auto signal_it = signals.find(spec.class_id);
     if (signal_it != signals.end()) {
       cls.arrival_rate = signal_it->second.arrival_rate;
@@ -339,47 +341,27 @@ void QueryScheduler::RecordPlanAudit(
       cls.change_detected = signal_it->second.change_detected;
     }
     cls.target_limit = target.LimitFor(spec.class_id);
-    cls.enforced_limit = next.LimitFor(spec.class_id);
-    record.classes.push_back(cls);
+    cls.cost_limit = next.LimitFor(spec.class_id);
+    row.classes.push_back(cls);
 
     // Resolve last interval's prediction against the same smoothed
-    // measurement the audit record carries (bit-identical doubles), then
+    // measurement the interval row carries (bit-identical doubles), then
     // fold this interval into the attainment windows.
     telemetry_->ledger.Observe(planning_cycles_, spec.class_id,
-                               cls.measured_smoothed);
-    telemetry_->slo.Observe(spec.class_id, planning_cycles_,
-                            record.sim_time, cls.goal_ratio);
-
-    obs::IntervalClassSample sample;
-    sample.class_id = spec.class_id;
-    sample.is_oltp = cls.is_oltp;
-    sample.cost_limit = cls.enforced_limit;
-    sample.measured = cls.measured_smoothed;
-    sample.goal_ratio = cls.goal_ratio;
-    sample.queue_depth = cls.queue_depth;
-    sample.admitted_cost = cls.running_cost;
-    sample.completed_in_interval = cls.completed_in_interval;
-    if (stats_it != stats.end()) {
-      sample.stage_gateway_queue_seconds =
-          stats_it->second.mean_stage_gateway_queue_seconds;
-      sample.stage_dispatch_seconds =
-          stats_it->second.mean_stage_dispatch_seconds;
-      sample.stage_execute_seconds =
-          stats_it->second.mean_stage_execute_seconds;
-    }
-    row.classes.push_back(sample);
+                               cls.measured);
+    telemetry_->slo.Observe(spec.class_id, planning_cycles_, row.sim_time,
+                            cls.goal_ratio);
 
     auto handle_it = class_telemetry_.find(spec.class_id);
     if (handle_it != class_telemetry_.end()) {
       ClassTelemetry& handles = handle_it->second;
-      handles.slo_measured->Set(cls.measured_smoothed);
+      handles.slo_measured->Set(cls.measured);
       handles.slo_goal_ratio->Set(cls.goal_ratio);
-      handles.cost_limit->Set(cls.enforced_limit);
+      handles.cost_limit->Set(cls.cost_limit);
       handles.slo_attainment->Set(
           telemetry_->slo.RollingAttainment(spec.class_id));
     }
   }
-  telemetry_->audit.Add(std::move(record));
   telemetry_->recorder.Append(std::move(row));
 
   // What the planner expects each class to deliver next interval under

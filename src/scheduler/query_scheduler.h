@@ -143,10 +143,10 @@ class QueryScheduler : public workload::QueryFrontend {
   /// One Scheduling Planner cycle: harvest measurements, update the OLTP
   /// model, solve for new limits, hand the plan to the Dispatcher.
   void PlanOnce();
-  /// Builds the per-interval decision audit record, refreshes the SLO
-  /// gauges, and feeds the derived observability layer: resolves last
-  /// interval's predictions in the ledger, observes SLO attainment,
-  /// appends the interval time-series row, and records this interval's
+  /// Appends the interval's one planner record (inputs and plan) to the
+  /// time-series recorder, refreshes the SLO gauges, and feeds the
+  /// derived observability layer: resolves last interval's predictions
+  /// in the ledger, observes SLO attainment, and records this interval's
   /// model predictions for the enforced plan. `raw` holds the un-smoothed
   /// interval measurements (-1 when a class had none); `input` is the
   /// exact state the Performance Solver searched with.

@@ -1,9 +1,9 @@
 // Tests for the observability subsystem: metrics registry (histogram
 // buckets, quantiles, Prometheus exposition), per-query span lifecycle
-// (including cancellation and the Chrome trace export), and the planner
-// decision audit log (JSONL round-trip plus the end-to-end guarantee
-// that audited cost limits are exactly the limits the dispatcher
-// enforced).
+// (including cancellation and the Chrome trace export), and the
+// per-interval planner record (audit JSONL round-trip plus the
+// end-to-end guarantee that recorded cost limits are exactly the limits
+// the dispatcher enforced).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,11 +13,11 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "engine/execution_engine.h"
-#include "obs/audit.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/svg.h"
 #include "obs/telemetry.h"
+#include "obs/timeseries.h"
 #include "scheduler/query_scheduler.h"
 #include "sim/simulator.h"
 
@@ -314,56 +314,77 @@ TEST(SpanLogTest, ChromeTraceHasTracksSlicesAndMicroseconds) {
 }
 
 // ---------------------------------------------------------------------
-// Planner audit log
+// Per-interval planner record: audit JSONL and TimeSeriesRecorder
 
-PlannerAuditRecord MakeAuditRecord(uint64_t interval) {
-  PlannerAuditRecord record;
-  record.interval = interval;
-  record.sim_time = 60.0 * static_cast<double>(interval);
-  record.system_cost_limit = 300000.0;
-  record.oltp_response = 0.1875;
-  record.solver_utility = 5.5;
-  record.allocator = "utility-search";
+IntervalRow MakeIntervalRow(uint64_t interval) {
+  IntervalRow row;
+  row.interval = interval;
+  row.sim_time = 60.0 * static_cast<double>(interval);
+  row.system_cost_limit = 300000.0;
+  row.oltp_response = 0.1875;
+  row.solver_wall_seconds = 1e-4;
+  row.solver_utility = 5.5;
+  row.allocator = "utility-search";
 
-  PlannerAuditClass olap;
+  IntervalClassSample olap;
   olap.class_id = 1;
   olap.is_oltp = false;
   olap.goal = 0.4;
   olap.measured_raw = 0.5;
-  olap.measured_smoothed = 0.4375;
+  olap.measured = 0.4375;
   olap.goal_ratio = 1.09375;
   olap.completed_in_interval = 12;
   olap.queue_depth = 3;
   olap.running = 2;
-  olap.running_cost = 65536.0;
+  olap.admitted_cost = 65536.0;
   olap.arrival_rate = 0.25;
   olap.predicted_rate = 0.3125;
   olap.change_detected = true;
   olap.target_limit = 120000.0;
-  olap.enforced_limit = 110000.0;
-  record.classes.push_back(olap);
+  olap.cost_limit = 110000.0;
+  olap.stage_execute_seconds = 0.015625;
+  row.classes.push_back(olap);
 
-  PlannerAuditClass oltp;
+  IntervalClassSample oltp;
   oltp.class_id = 3;
   oltp.is_oltp = true;
   oltp.goal = 0.25;
   oltp.measured_raw = -1.0;  // no snapshot landed
-  oltp.measured_smoothed = 0.1875;
+  oltp.measured = 0.1875;
   oltp.goal_ratio = 1.33333333;
   oltp.queue_depth = 0;
   oltp.target_limit = 180000.0;
-  oltp.enforced_limit = 190000.0;
-  record.classes.push_back(oltp);
-  return record;
+  oltp.cost_limit = 190000.0;
+  row.classes.push_back(oltp);
+  return row;
 }
 
 TEST(PlannerAuditTest, JsonRoundTripPreservesEveryField) {
-  PlannerAuditRecord record = MakeAuditRecord(4);
-  std::string json = ToJson(record);
-  EXPECT_EQ(json.find('\n'), std::string::npos);
+  IntervalRow row = MakeIntervalRow(4);
+  std::string json = ToJson(row);
+  // The audit line format is an interface: keys, their order and %.9g
+  // values. Host wall time and the stage means stay out of it.
+  EXPECT_EQ(json,
+            "{\"interval\":4,\"sim_time\":240,\"system_cost_limit\":300000,"
+            "\"oltp_response\":0.1875,\"solver_utility\":5.5,"
+            "\"allocator\":\"utility-search\",\"classes\":["
+            "{\"class_id\":1,\"is_oltp\":false,\"goal\":0.4,"
+            "\"measured_raw\":0.5,\"measured_smoothed\":0.4375,"
+            "\"goal_ratio\":1.09375,\"completed_in_interval\":12,"
+            "\"queue_depth\":3,\"running\":2,\"running_cost\":65536,"
+            "\"arrival_rate\":0.25,\"predicted_rate\":0.3125,"
+            "\"change_detected\":true,\"target_limit\":120000,"
+            "\"enforced_limit\":110000},"
+            "{\"class_id\":3,\"is_oltp\":true,\"goal\":0.25,"
+            "\"measured_raw\":-1,\"measured_smoothed\":0.1875,"
+            "\"goal_ratio\":1.33333333,\"completed_in_interval\":0,"
+            "\"queue_depth\":0,\"running\":0,\"running_cost\":0,"
+            "\"arrival_rate\":0,\"predicted_rate\":0,"
+            "\"change_detected\":false,\"target_limit\":180000,"
+            "\"enforced_limit\":190000}]}");
 
-  PlannerAuditRecord parsed;
-  ASSERT_TRUE(ParsePlannerAuditRecord(json, &parsed));
+  IntervalRow parsed;
+  ASSERT_TRUE(ParseIntervalRow(json, &parsed));
   EXPECT_EQ(parsed.interval, 4u);
   EXPECT_DOUBLE_EQ(parsed.sim_time, 240.0);
   EXPECT_DOUBLE_EQ(parsed.system_cost_limit, 300000.0);
@@ -372,93 +393,67 @@ TEST(PlannerAuditTest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(parsed.allocator, "utility-search");
   ASSERT_EQ(parsed.classes.size(), 2u);
 
-  const PlannerAuditClass& olap = parsed.classes[0];
+  const IntervalClassSample& olap = parsed.classes[0];
   EXPECT_EQ(olap.class_id, 1);
   EXPECT_FALSE(olap.is_oltp);
   EXPECT_DOUBLE_EQ(olap.goal, 0.4);
   EXPECT_DOUBLE_EQ(olap.measured_raw, 0.5);
-  EXPECT_DOUBLE_EQ(olap.measured_smoothed, 0.4375);
+  EXPECT_DOUBLE_EQ(olap.measured, 0.4375);
   EXPECT_DOUBLE_EQ(olap.goal_ratio, 1.09375);
   EXPECT_EQ(olap.completed_in_interval, 12);
   EXPECT_EQ(olap.queue_depth, 3);
   EXPECT_EQ(olap.running, 2);
-  EXPECT_DOUBLE_EQ(olap.running_cost, 65536.0);
+  EXPECT_DOUBLE_EQ(olap.admitted_cost, 65536.0);
   EXPECT_DOUBLE_EQ(olap.arrival_rate, 0.25);
   EXPECT_DOUBLE_EQ(olap.predicted_rate, 0.3125);
   EXPECT_TRUE(olap.change_detected);
   EXPECT_DOUBLE_EQ(olap.target_limit, 120000.0);
-  EXPECT_DOUBLE_EQ(olap.enforced_limit, 110000.0);
+  EXPECT_DOUBLE_EQ(olap.cost_limit, 110000.0);
 
-  const PlannerAuditClass& oltp = parsed.classes[1];
+  const IntervalClassSample& oltp = parsed.classes[1];
   EXPECT_EQ(oltp.class_id, 3);
   EXPECT_TRUE(oltp.is_oltp);
   EXPECT_DOUBLE_EQ(oltp.measured_raw, -1.0);
   EXPECT_FALSE(oltp.change_detected);
-  EXPECT_DOUBLE_EQ(oltp.enforced_limit, 190000.0);
+  EXPECT_DOUBLE_EQ(oltp.cost_limit, 190000.0);
 }
 
 TEST(PlannerAuditTest, ParseRejectsMalformedInput) {
-  PlannerAuditRecord out;
-  EXPECT_FALSE(ParsePlannerAuditRecord("", &out));
-  EXPECT_FALSE(ParsePlannerAuditRecord("not json", &out));
-  EXPECT_FALSE(ParsePlannerAuditRecord("{\"interval\":}", &out));
+  IntervalRow out;
+  EXPECT_FALSE(ParseIntervalRow("", &out));
+  EXPECT_FALSE(ParseIntervalRow("not json", &out));
+  EXPECT_FALSE(ParseIntervalRow("{\"interval\":}", &out));
+
+  const std::string good = ToJson(MakeIntervalRow(1));
+  ASSERT_TRUE(ParseIntervalRow(good, &out));
+  // A boolean is `true` or `false`, nothing else.
+  std::string bad_bool = good;
+  const std::string flag = "\"is_oltp\":false";
+  bad_bool.replace(bad_bool.find(flag), flag.size(), "\"is_oltp\":7");
+  EXPECT_FALSE(ParseIntervalRow(bad_bool, &out));
+  // A line cut inside a class object, or after the last complete one.
+  const size_t second_class = good.find("{\"class_id\":3");
+  EXPECT_FALSE(ParseIntervalRow(good.substr(0, second_class + 20), &out));
+  EXPECT_FALSE(ParseIntervalRow(good.substr(0, second_class), &out));
 }
 
 TEST(PlannerAuditTest, WriteJsonlEmitsOneParsableLinePerRecord) {
-  PlannerAuditLog log;
-  log.Add(MakeAuditRecord(1));
-  log.Add(MakeAuditRecord(2));
+  TimeSeriesRecorder recorder;
+  recorder.Append(MakeIntervalRow(1));
+  recorder.Append(MakeIntervalRow(2));
   std::ostringstream out;
-  log.WriteJsonl(out);
+  recorder.WriteJsonl(out);
 
   std::istringstream in(out.str());
   std::string line;
   uint64_t expected_interval = 1;
   while (std::getline(in, line)) {
-    PlannerAuditRecord parsed;
-    ASSERT_TRUE(ParsePlannerAuditRecord(line, &parsed)) << line;
+    IntervalRow parsed;
+    ASSERT_TRUE(ParseIntervalRow(line, &parsed)) << line;
     EXPECT_EQ(parsed.interval, expected_interval);
     ++expected_interval;
   }
   EXPECT_EQ(expected_interval, 3u);
-}
-
-TEST(PlannerAuditTest, DropOldestAtCapacity) {
-  PlannerAuditLog log(2);
-  log.Add(MakeAuditRecord(1));
-  log.Add(MakeAuditRecord(2));
-  log.Add(MakeAuditRecord(3));
-  EXPECT_EQ(log.size(), 2u);
-  EXPECT_EQ(log.dropped(), 1u);
-  EXPECT_EQ(log.records().front().interval, 2u);
-  EXPECT_EQ(log.records().back().interval, 3u);
-}
-
-// ---------------------------------------------------------------------
-// TimeSeriesRecorder
-
-IntervalRow MakeIntervalRow(uint64_t interval) {
-  IntervalRow row;
-  row.interval = interval;
-  row.sim_time = 60.0 * static_cast<double>(interval);
-  row.solver_wall_seconds = 1e-4;
-  row.solver_utility = 2.5;
-  IntervalClassSample olap;
-  olap.class_id = 1;
-  olap.cost_limit = 150000.0;
-  olap.measured = 0.75;
-  olap.goal_ratio = 1.07142857;
-  olap.queue_depth = 3;
-  olap.admitted_cost = 42000.0;
-  olap.completed_in_interval = 2;
-  IntervalClassSample oltp;
-  oltp.class_id = 3;
-  oltp.is_oltp = true;
-  oltp.cost_limit = 50000.0;
-  oltp.measured = 1.8;
-  oltp.goal_ratio = 1.11;
-  row.classes = {olap, oltp};
-  return row;
 }
 
 TEST(TimeSeriesRecorderTest, AppendAndReadBack) {
@@ -472,7 +467,7 @@ TEST(TimeSeriesRecorderTest, AppendAndReadBack) {
   EXPECT_EQ(rows[0].interval, 1u);
   EXPECT_EQ(rows[1].interval, 2u);
   ASSERT_EQ(rows[0].classes.size(), 2u);
-  EXPECT_DOUBLE_EQ(rows[0].classes[0].cost_limit, 150000.0);
+  EXPECT_DOUBLE_EQ(rows[0].classes[0].cost_limit, 110000.0);
   EXPECT_TRUE(rows[0].classes[1].is_oltp);
 }
 
@@ -493,24 +488,10 @@ TEST(TimeSeriesRecorderTest, CsvIsLongFormatOneLinePerClass) {
     if (c == '\n') ++lines;
   }
   EXPECT_EQ(lines, 3);
-  EXPECT_TRUE(Contains(csv, "1,60,1,0,150000,0.75,"));
-  EXPECT_TRUE(Contains(csv, "1,60,3,1,50000,1.8,"));
-}
-
-TEST(TimeSeriesRecorderTest, JsonCarriesIntervalAndClassColumns) {
-  TimeSeriesRecorder recorder;
-  recorder.Append(MakeIntervalRow(4));
-  std::ostringstream out;
-  recorder.WriteJson(out);
-  const std::string json = out.str();
-  EXPECT_TRUE(Contains(json, "\"interval\":4"));
-  EXPECT_TRUE(Contains(json, "\"sim_time\":240"));
-  EXPECT_TRUE(Contains(json, "\"solver_utility\":2.5"));
-  EXPECT_TRUE(Contains(json, "\"is_oltp\":true"));
-  EXPECT_TRUE(Contains(json, "\"admitted_cost\":42000"));
-  // Valid JSON array delimiters.
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_EQ(json[json.size() - 2], ']');
+  EXPECT_TRUE(Contains(
+      csv, "1,60,1,0,110000,0.4375,1.09375,3,65536,12,0.0001,5.5,0,0,"
+           "0.015625\n"));
+  EXPECT_TRUE(Contains(csv, "1,60,3,1,190000,0.1875,"));
 }
 
 TEST(TimeSeriesRecorderTest, DropOldestAtCapacity) {
@@ -740,10 +721,9 @@ TEST(SloMonitorTest, EventJsonCarriesTypeTag) {
 // ---------------------------------------------------------------------
 // Telemetry history: the live window vs. KeepFullHistory()
 
-/// The four per-interval stores at their stand-alone default capacity,
+/// The three per-interval stores at their stand-alone default capacity,
 /// kFullHistoryIntervals.
 struct StandaloneStores {
-  PlannerAuditLog audit;
   TimeSeriesRecorder recorder;
   PredictionLedger ledger;
   SloMonitor slo;
@@ -751,7 +731,7 @@ struct StandaloneStores {
 
 /// Writes `intervals` planner cycles for the paper's classes 1, 2 (OLAP)
 /// and 3 (OLTP) in RecordPlanAudit's order: resolve last cycle's
-/// prediction, observe attainment, audit, time-series row, predict the
+/// prediction, observe attainment, append the interval row, predict the
 /// next cycle. Odd intervals miss the SLO and even ones meet it, so each
 /// class closes one violation event per two intervals.
 template <typename Stores>
@@ -764,7 +744,6 @@ void FeedIntervals(Stores* stores, uint64_t intervals) {
       stores->ledger.Observe(k, class_id, measured);
       stores->slo.Observe(class_id, k, t, ratio);
     }
-    stores->audit.Add(MakeAuditRecord(k));
     stores->recorder.Append(MakeIntervalRow(k));
     for (int class_id : {1, 2, 3}) {
       stores->ledger.Predict(k, class_id, class_id == 3,
@@ -777,7 +756,7 @@ void FeedIntervals(Stores* stores, uint64_t intervals) {
 template <typename Stores>
 std::string AuditJsonl(const Stores& stores) {
   std::ostringstream out;
-  stores.audit.WriteJsonl(out);
+  stores.recorder.WriteJsonl(out);
   return out.str();
 }
 
@@ -790,14 +769,10 @@ TEST(TelemetryHistoryTest, LiveWindowKeepsLatestIntervalsWithExactCounters) {
   EXPECT_FALSE(telemetry.keeps_full_history());
   FeedIntervals(&telemetry, kIntervals);
 
-  EXPECT_EQ(telemetry.audit.size(), kWindow);
-  EXPECT_EQ(telemetry.audit.dropped(), kIntervals - kWindow);
-  EXPECT_EQ(telemetry.audit.records().front().interval,
-            kIntervals - kWindow + 1);
-  EXPECT_EQ(telemetry.audit.records().back().interval, kIntervals);
-
   EXPECT_EQ(telemetry.recorder.size(), kWindow);
   EXPECT_EQ(telemetry.recorder.dropped(), kIntervals - kWindow);
+  EXPECT_EQ(telemetry.recorder.Rows().front().interval,
+            kIntervals - kWindow + 1);
   EXPECT_EQ(telemetry.recorder.Rows().back().interval, kIntervals);
 
   // Three predictions per interval; the window counts intervals.
@@ -830,8 +805,6 @@ TEST(TelemetryHistoryTest, FullHistoryMatchesStandaloneStores) {
   StandaloneStores before;
   FeedIntervals(&before, kIntervals);
 
-  EXPECT_EQ(telemetry.audit.size(), kIntervals);
-  EXPECT_EQ(telemetry.audit.dropped(), 0u);
   EXPECT_EQ(telemetry.recorder.size(), kIntervals);
   EXPECT_EQ(telemetry.recorder.dropped(), 0u);
   EXPECT_EQ(telemetry.ledger.size(), 3 * kIntervals);
@@ -882,15 +855,12 @@ TEST(TelemetryHistoryTest, FullHistoryMatchesStandaloneStores) {
 TEST(TelemetryHistoryTest, ShrinkingCapacityCountsTheDroppedEntries) {
   StandaloneStores stores;
   FeedIntervals(&stores, 10);
-  stores.audit.set_capacity(4);
   stores.recorder.set_capacity(4);
   stores.ledger.set_capacity(4);
   stores.slo.set_capacity(4);
-  EXPECT_EQ(stores.audit.size(), 4u);
-  EXPECT_EQ(stores.audit.dropped(), 6u);
-  EXPECT_EQ(stores.audit.records().front().interval, 7u);
   EXPECT_EQ(stores.recorder.size(), 4u);
   EXPECT_EQ(stores.recorder.dropped(), 6u);
+  EXPECT_EQ(stores.recorder.Rows().front().interval, 7u);
   // The ledger keeps the predictions of the last 4 intervals.
   EXPECT_EQ(stores.ledger.size(), 12u);
   EXPECT_EQ(stores.ledger.dropped(), 18u);
@@ -1023,45 +993,46 @@ TEST_F(SchedulerAuditTest, AuditLimitsExactlyMatchDispatcherEnforcement) {
   }
   simulator_.RunUntil(400.0);
 
-  // Exactly one audit record per planning cycle, numbered sequentially.
-  ASSERT_EQ(telemetry.audit.size(), qs.planning_cycles());
-  ASSERT_EQ(telemetry.audit.size(), 8u);
+  // Exactly one record per planning cycle, numbered sequentially.
+  ASSERT_EQ(telemetry.recorder.size(), qs.planning_cycles());
+  ASSERT_EQ(telemetry.recorder.size(), 8u);
+  const std::vector<IntervalRow> rows = telemetry.recorder.Rows();
   uint64_t expected = 1;
-  for (const PlannerAuditRecord& record : telemetry.audit.records()) {
-    EXPECT_EQ(record.interval, expected);
+  for (const IntervalRow& row : rows) {
+    EXPECT_EQ(row.interval, expected);
     ++expected;
   }
 
-  // Every audited enforced_limit is bit-for-bit the limit appended to
-  // the scheduler's history and handed to the Dispatcher that interval.
+  // Every recorded cost limit is bit-for-bit the limit appended to the
+  // scheduler's history and handed to the Dispatcher that interval.
   for (const sched::ServiceClassSpec& spec : classes_.classes()) {
     const sim::TimeSeries& history = qs.limit_history().at(spec.class_id);
-    ASSERT_EQ(history.size(), telemetry.audit.size());
+    ASSERT_EQ(history.size(), rows.size());
     size_t i = 0;
-    for (const PlannerAuditRecord& record : telemetry.audit.records()) {
-      const PlannerAuditClass* cls = nullptr;
-      for (const PlannerAuditClass& candidate : record.classes) {
+    for (const IntervalRow& row : rows) {
+      const IntervalClassSample* cls = nullptr;
+      for (const IntervalClassSample& candidate : row.classes) {
         if (candidate.class_id == spec.class_id) cls = &candidate;
       }
       ASSERT_NE(cls, nullptr);
-      EXPECT_EQ(cls->enforced_limit, history.at(i).value);
-      EXPECT_EQ(record.sim_time, history.at(i).time);
+      EXPECT_EQ(cls->cost_limit, history.at(i).value);
+      EXPECT_EQ(row.sim_time, history.at(i).time);
       ++i;
     }
     // The final record is the plan the dispatcher is running right now.
-    const PlannerAuditRecord& last = telemetry.audit.records().back();
-    for (const PlannerAuditClass& cls : last.classes) {
+    for (const IntervalClassSample& cls : rows.back().classes) {
       if (cls.class_id != spec.class_id) continue;
-      EXPECT_EQ(cls.enforced_limit,
+      EXPECT_EQ(cls.cost_limit,
                 qs.dispatcher().plan().LimitFor(spec.class_id));
     }
   }
 
   // Each interval's enforced limits sum to the system cost limit.
-  for (const PlannerAuditRecord& record : telemetry.audit.records()) {
+  for (const IntervalRow& row : rows) {
+    EXPECT_EQ(row.system_cost_limit, 300000.0);
     double sum = 0.0;
-    for (const PlannerAuditClass& cls : record.classes) {
-      sum += cls.enforced_limit;
+    for (const IntervalClassSample& cls : row.classes) {
+      sum += cls.cost_limit;
     }
     EXPECT_NEAR(sum, 300000.0, 1.0);
   }
@@ -1091,29 +1062,10 @@ TEST_F(SchedulerAuditTest, DerivedAnalyticsStayConsistentWithAudit) {
   }
   simulator_.RunUntil(400.0);
 
-  const size_t cycles = telemetry.audit.size();
+  const std::vector<IntervalRow> rows = telemetry.recorder.Rows();
+  const size_t cycles = rows.size();
   ASSERT_GT(cycles, 2u);
   const size_t num_classes = classes_.classes().size();
-
-  // One recorder row per audit record, and every recorder column is
-  // bit-for-bit the value the matching audit record carries.
-  ASSERT_EQ(telemetry.recorder.size(), cycles);
-  std::vector<IntervalRow> rows = telemetry.recorder.Rows();
-  size_t i = 0;
-  for (const PlannerAuditRecord& record : telemetry.audit.records()) {
-    const IntervalRow& row = rows[i++];
-    EXPECT_EQ(row.interval, record.interval);
-    EXPECT_EQ(row.sim_time, record.sim_time);
-    ASSERT_EQ(row.classes.size(), record.classes.size());
-    for (size_t c = 0; c < row.classes.size(); ++c) {
-      EXPECT_EQ(row.classes[c].class_id, record.classes[c].class_id);
-      EXPECT_EQ(row.classes[c].cost_limit,
-                record.classes[c].enforced_limit);
-      EXPECT_EQ(row.classes[c].measured,
-                record.classes[c].measured_smoothed);
-      EXPECT_EQ(row.classes[c].goal_ratio, record.classes[c].goal_ratio);
-    }
-  }
 
   // One prediction per class per cycle; the final cycle's are pending.
   ASSERT_EQ(telemetry.ledger.size(), cycles * num_classes);
@@ -1123,19 +1075,18 @@ TEST_F(SchedulerAuditTest, DerivedAnalyticsStayConsistentWithAudit) {
       continue;
     }
     // The resolved observation is bit-identical to the smoothed
-    // measurement the audit recorded at the target interval — and so
-    // the %.9g JSONL renderings of the two artifacts agree exactly.
-    const PlannerAuditRecord& target =
-        telemetry.audit.records()[pred.target_interval - 1];
+    // measurement recorded at the target interval — and so the %.9g
+    // renderings of the two artifacts agree exactly.
+    const IntervalRow& target = rows[pred.target_interval - 1];
     ASSERT_EQ(target.interval, pred.target_interval);
-    const PlannerAuditClass* cls = nullptr;
-    for (const PlannerAuditClass& candidate : target.classes) {
+    const IntervalClassSample* cls = nullptr;
+    for (const IntervalClassSample& candidate : target.classes) {
       if (candidate.class_id == pred.class_id) cls = &candidate;
     }
     ASSERT_NE(cls, nullptr);
-    EXPECT_EQ(pred.observed, cls->measured_smoothed);
+    EXPECT_EQ(pred.observed, cls->measured);
     EXPECT_EQ(StrPrintf("%.9g", pred.observed),
-              StrPrintf("%.9g", cls->measured_smoothed));
+              StrPrintf("%.9g", cls->measured));
   }
 
   // The SLO monitor saw every (class, interval) pair the planner ran.
@@ -1297,11 +1248,9 @@ TEST(SchedulerHistoryTest, LiveWindowLeavesThePlansUnchanged) {
     }
   }
 
-  EXPECT_EQ(live.audit.size(), kLiveHistoryIntervals);
-  EXPECT_EQ(live.audit.size() + live.audit.dropped(), kCycles);
   EXPECT_EQ(live.recorder.size(), kLiveHistoryIntervals);
+  EXPECT_EQ(live.recorder.size() + live.recorder.dropped(), kCycles);
   EXPECT_EQ(live.ledger.size(), 3 * kLiveHistoryIntervals);
-  EXPECT_EQ(full.audit.size(), kCycles);
   EXPECT_EQ(full.recorder.size(), kCycles);
   for (int class_id : {1, 2, 3}) {
     EXPECT_EQ(live.slo.AttainmentSeries(class_id).size(),
@@ -1313,8 +1262,8 @@ TEST(SchedulerHistoryTest, LiveWindowLeavesThePlansUnchanged) {
               full.slo.OverallAttainment(class_id));
   }
   // The live window holds the last cycles' records, bit for bit.
-  EXPECT_EQ(ToJson(live.audit.records().back()),
-            ToJson(full.audit.records().back()));
+  EXPECT_EQ(ToJson(live.recorder.Rows().back()),
+            ToJson(full.recorder.Rows().back()));
 }
 
 }  // namespace

@@ -306,7 +306,7 @@ TEST(RtRuntimeTest, GatewaySmoke) {
   // The live planner timer planned repeatedly and left an audit trail.
   EXPECT_GE(stats.planning_cycles, 2u);
   std::ostringstream jsonl;
-  telemetry.audit.WriteJsonl(jsonl);
+  telemetry.recorder.WriteJsonl(jsonl);
   std::string text = jsonl.str();
   size_t lines = 0;
   for (char c : text) {
@@ -444,7 +444,7 @@ TEST(RtRuntimeTest, PlannerRunsOnTheModelSchedule) {
   EXPECT_LE(stats.planning_cycles, due);
   EXPECT_GE(stats.planning_cycles + 1, due);
   EXPECT_GE(stats.planning_cycles, 3u);
-  const auto& records = telemetry.audit.records();
+  const std::vector<obs::IntervalRow> records = telemetry.recorder.Rows();
   ASSERT_EQ(records.size(), stats.planning_cycles);
   for (size_t k = 0; k < records.size(); ++k) {
     EXPECT_GE(records[k].sim_time, kInterval * static_cast<double>(k + 1))
@@ -755,13 +755,10 @@ TEST(RtRuntimeTest, LiveStoresKeepAWindowOfPlannerHistory) {
 
     const size_t kept =
         full ? stats.planning_cycles : obs::kLiveHistoryIntervals;
-    EXPECT_EQ(telemetry.audit.size(), kept) << "full " << full;
-    EXPECT_EQ(telemetry.audit.size() + telemetry.audit.dropped(),
-              stats.planning_cycles);
-    EXPECT_EQ(telemetry.audit.records().back().interval,
-              stats.planning_cycles);
-    EXPECT_EQ(telemetry.recorder.size(), kept);
+    EXPECT_EQ(telemetry.recorder.size(), kept) << "full " << full;
     EXPECT_EQ(telemetry.recorder.size() + telemetry.recorder.dropped(),
+              stats.planning_cycles);
+    EXPECT_EQ(telemetry.recorder.Rows().back().interval,
               stats.planning_cycles);
     if (!full) {
       // One prediction per class per interval, for the whole window.

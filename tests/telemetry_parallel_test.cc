@@ -5,8 +5,10 @@
 // parallel_replication_tsan gate, where TSan turns any missing lock in
 // the telemetry sinks into a hard failure.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -64,7 +66,7 @@ TEST(TelemetryParallelTest, RegistryCountsStayExactUnderContention) {
   EXPECT_EQ(telemetry.registry.size(), 3u + kWorkers);
 }
 
-TEST(TelemetryParallelTest, AuditAndRecorderAcceptConcurrentWriters) {
+TEST(TelemetryParallelTest, RecorderAcceptsConcurrentWritersAndReaders) {
   Telemetry telemetry;
   // Every write is checked below, so keep more than the live window.
   telemetry.KeepFullHistory();
@@ -73,34 +75,30 @@ TEST(TelemetryParallelTest, AuditAndRecorderAcceptConcurrentWriters) {
   for (int w = 0; w < kWorkers; ++w) {
     pool.Submit([&, w] {
       for (int i = 0; i < kOpsPerWorker; ++i) {
-        PlannerAuditRecord record;
-        record.interval = static_cast<uint64_t>(i + 1);
-        record.sim_time = 60.0 * (i + 1);
-        record.system_cost_limit = 300000.0;
-        record.allocator = "utility-search";
-        PlannerAuditClass cls;
-        cls.class_id = w + 1;
-        cls.enforced_limit = 1000.0 * (w + 1);
-        record.classes.push_back(cls);
-        telemetry.audit.Add(std::move(record));
-
         IntervalRow row;
         row.interval = static_cast<uint64_t>(i + 1);
         row.sim_time = 60.0 * (i + 1);
+        row.system_cost_limit = 300000.0;
+        row.allocator = "utility-search";
         IntervalClassSample sample;
         sample.class_id = w + 1;
         sample.cost_limit = 1000.0 * (w + 1);
         sample.measured = 0.5;
         row.classes.push_back(sample);
         telemetry.recorder.Append(std::move(row));
+        // Exports read the same store while the writers append.
+        if (i % 100 == 0) {
+          std::ostringstream jsonl;
+          telemetry.recorder.WriteJsonl(jsonl);
+          std::ostringstream csv;
+          telemetry.recorder.WriteCsv(csv);
+        }
       }
     });
   }
   pool.Wait();
 
   const size_t expected = static_cast<size_t>(kWorkers) * kOpsPerWorker;
-  EXPECT_EQ(telemetry.audit.size(), expected);
-  EXPECT_EQ(telemetry.audit.dropped(), 0u);
   EXPECT_EQ(telemetry.recorder.size(), expected);
   EXPECT_EQ(telemetry.recorder.dropped(), 0u);
   // Every row survived intact: per-class totals match what was written.
@@ -116,6 +114,12 @@ TEST(TelemetryParallelTest, AuditAndRecorderAcceptConcurrentWriters) {
   for (int w = 1; w <= kWorkers; ++w) {
     EXPECT_EQ(rows_per_class[w], kOpsPerWorker);
   }
+  // The JSONL export holds one line per row.
+  std::ostringstream jsonl;
+  telemetry.recorder.WriteJsonl(jsonl);
+  const std::string text = jsonl.str();
+  EXPECT_EQ(static_cast<size_t>(std::count(text.begin(), text.end(), '\n')),
+            expected);
 }
 
 TEST(TelemetryParallelTest, LedgerAndSloMonitorPartitionByClass) {

@@ -34,6 +34,7 @@
 //                        the flag to disable)
 //   --http-port-file=PATH  write the bound HTTP port as a single line
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -209,9 +210,19 @@ int main(int argc, char** argv) {
               "control interval %.0f model s\n",
               qps, pattern_name.c_str(), duration, time_scale,
               options.scheduler.control_interval_seconds);
+  // The rate is taken over the generation phase alone; the drain after
+  // it is reported on its own, or a long drain would dilute the rate.
+  const auto load_start = std::chrono::steady_clock::now();
   loadgen.Start();
   loadgen.Join();
+  const uint64_t load_completed = runtime.gateway().completed();
+  const auto load_end = std::chrono::steady_clock::now();
   qsched::rt::Runtime::Stats stats = runtime.Shutdown();
+  const auto drain_end = std::chrono::steady_clock::now();
+  const double load_seconds =
+      std::chrono::duration<double>(load_end - load_start).count();
+  const double drain_seconds =
+      std::chrono::duration<double>(drain_end - load_end).count();
   if (http != nullptr) http->Stop();
   if (recorder != nullptr) {
     const qsched::replay::TraceSummary summary =
@@ -220,20 +231,26 @@ int main(int argc, char** argv) {
     qsched_examples::StopCapture(recorder.get(), &summary);
   }
 
-  std::printf("seed %llu: offered %llu, shed %llu, completed %llu "
-              "(%.0f completions/s wall), planning cycles %llu, "
-              "model horizon %.1f s%s\n",
+  std::printf("seed %llu: offered %llu, shed %llu, completed %llu, "
+              "planning cycles %llu, model horizon %.1f s%s\n",
               static_cast<unsigned long long>(seed),
               static_cast<unsigned long long>(loadgen.offered()),
               static_cast<unsigned long long>(loadgen.shed()),
               static_cast<unsigned long long>(stats.completed),
-              stats.model_seconds > 0.0
-                  ? static_cast<double>(stats.completed) /
-                        (stats.model_seconds / time_scale)
-                  : 0.0,
               static_cast<unsigned long long>(stats.planning_cycles),
               stats.model_seconds,
               stats.drained ? "" : "  [drain timeout!]");
+  std::printf("  load: %llu completed in %.2f s wall "
+              "(%.0f completions/s wall); drain: %llu completed in "
+              "%.2f s wall\n",
+              static_cast<unsigned long long>(load_completed),
+              load_seconds,
+              load_seconds > 0.0
+                  ? static_cast<double>(load_completed) / load_seconds
+                  : 0.0,
+              static_cast<unsigned long long>(stats.completed -
+                                              load_completed),
+              drain_seconds);
   // Share of the run's control intervals whose completions met the goal
   // on average: the value the capture summary writes.
   for (const qsched::sched::ServiceClassSpec& spec : classes.classes()) {

@@ -3,7 +3,8 @@
 # time scale 6000 (one planner cycle per 10 ms wall) plans far more
 # cycles than the live window of 64, and the audit JSONL must still hold
 # exactly one record per planning cycle, numbered 1..N, plus a
-# well-formed HTML report from the same run. Registered with CTest as
+# well-formed HTML report from the same run. The printed completion rate
+# covers the generation phase alone, not the drain. Registered with CTest as
 # `rt_cli_audit_smoke`.
 #
 # Usage: rt_cli_audit_smoke.sh <path-to-rt_cli>
@@ -28,10 +29,27 @@ if [ -z "${CYCLES}" ]; then
   exit 1
 fi
 
-python3 - "${AUDIT}" "${CYCLES}" "${REPORT}" <<'PYEOF'
+# The printed rate covers the generation phase only: at 300 QPS and
+# time scale 6000 nothing queues, so it must match offered / duration.
+OFFERED="$(sed -n 's/.*: offered \([0-9][0-9]*\),.*/\1/p' \
+  "${OUT_DIR}/stdout.txt")"
+RATE="$(sed -n 's/.*(\([0-9][0-9]*\) completions\/s wall).*/\1/p' \
+  "${OUT_DIR}/stdout.txt")"
+if [ -z "${OFFERED}" ] || [ -z "${RATE}" ]; then
+  echo "rt_cli_audit_smoke: no offered count or completion rate printed" >&2
+  exit 1
+fi
+
+python3 - "${AUDIT}" "${CYCLES}" "${REPORT}" "${OFFERED}" "${RATE}" \
+  <<'PYEOF'
 import html.parser, json, sys
 
 path, cycles, report = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+offered, rate = int(sys.argv[4]), float(sys.argv[5])
+expected = offered / 1.5
+if abs(rate - expected) > 0.2 * expected:
+    sys.exit(f"rt_cli_audit_smoke: {rate:.0f} completions/s wall, not "
+             f"within 20% of offered / duration = {expected:.0f}")
 if cycles <= 2 * 64:
     sys.exit(f"rt_cli_audit_smoke: only {cycles} planning cycles; the "
              "run must outlast the live window")
@@ -57,5 +75,6 @@ Checker().feed(open(report).read())
 if Checker.svgs < 4:
     sys.exit(f"rt_cli_audit_smoke: report has {Checker.svgs} charts")
 print(f"rt_cli_audit_smoke: {cycles} planning cycles, one audit record "
-      f"each; report has {Checker.svgs} charts")
+      f"each; report has {Checker.svgs} charts; {rate:.0f} completions/s "
+      f"wall for {expected:.0f} offered/s")
 PYEOF

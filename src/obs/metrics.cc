@@ -20,6 +20,28 @@ size_t Histogram::StripeIndex() {
   return index;
 }
 
+Histogram::~Histogram() {
+  for (std::atomic<Stripe*>& slot : stripes_) {
+    delete slot.load(std::memory_order_relaxed);
+  }
+}
+
+Histogram::Stripe& Histogram::StripeForThisThread() {
+  std::atomic<Stripe*>& slot = stripes_[StripeIndex()];
+  Stripe* stripe = slot.load(std::memory_order_acquire);
+  if (stripe != nullptr) return *stripe;
+  // First sample in this stripe: install a zeroed one. Threads sharing
+  // the stripe may race here; the loser frees its copy and writes into
+  // the winner's.
+  auto fresh = std::make_unique<Stripe>();
+  if (slot.compare_exchange_strong(stripe, fresh.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return *fresh.release();
+  }
+  return *stripe;
+}
+
 void Histogram::Record(double value) {
   // Extremes first, bucket last: once a reader sees the bucket count,
   // the min/max that clamp its quantile estimate are already in place
@@ -34,7 +56,7 @@ void Histogram::Record(double value) {
          !max_.compare_exchange_weak(seen, value,
                                      std::memory_order_relaxed)) {
   }
-  Stripe& stripe = stripes_[StripeIndex()];
+  Stripe& stripe = StripeForThisThread();
   seen = stripe.sum.load(std::memory_order_relaxed);
   while (!stripe.sum.compare_exchange_weak(seen, seen + value,
                                            std::memory_order_relaxed)) {
@@ -47,9 +69,11 @@ uint64_t Histogram::AggregateBuckets(
     std::array<uint64_t, kNumBuckets>* out) const {
   out->fill(0);
   uint64_t total = 0;
-  for (const Stripe& stripe : stripes_) {
+  for (const std::atomic<Stripe*>& slot : stripes_) {
+    const Stripe* stripe = slot.load(std::memory_order_acquire);
+    if (stripe == nullptr) continue;
     for (int i = 0; i < kNumBuckets; ++i) {
-      uint64_t n = stripe.buckets[static_cast<size_t>(i)].load(
+      uint64_t n = stripe->buckets[static_cast<size_t>(i)].load(
           std::memory_order_relaxed);
       (*out)[static_cast<size_t>(i)] += n;
       total += n;
@@ -59,21 +83,26 @@ uint64_t Histogram::AggregateBuckets(
 }
 
 uint64_t Histogram::count() const {
-  uint64_t total = 0;
-  for (const Stripe& stripe : stripes_) {
-    for (const auto& bucket : stripe.buckets) {
-      total += bucket.load(std::memory_order_relaxed);
-    }
-  }
-  return total;
+  std::array<uint64_t, kNumBuckets> agg;
+  return AggregateBuckets(&agg);
 }
 
 double Histogram::sum() const {
   double total = 0.0;
-  for (const Stripe& stripe : stripes_) {
-    total += stripe.sum.load(std::memory_order_relaxed);
+  for (const std::atomic<Stripe*>& slot : stripes_) {
+    const Stripe* stripe = slot.load(std::memory_order_acquire);
+    if (stripe == nullptr) continue;
+    total += stripe->sum.load(std::memory_order_relaxed);
   }
   return total;
+}
+
+int Histogram::stripes_allocated() const {
+  int allocated = 0;
+  for (const std::atomic<Stripe*>& slot : stripes_) {
+    if (slot.load(std::memory_order_acquire) != nullptr) ++allocated;
+  }
+  return allocated;
 }
 
 double Histogram::min() const {

@@ -52,12 +52,16 @@ class Gauge {
 /// Log-bucketed histogram: fixed bucket array whose edges grow
 /// geometrically (4 buckets per factor of two, ~19% wide), covering
 /// [1e-6, ~3e6) — microseconds to weeks of simulated time, or page and
-/// byte counts. Record() is O(1), allocation-free and LOCK-FREE: bucket
-/// counts live in kStripes cacheline-aligned stripes (a writer picks its
-/// stripe by thread id, so unrelated threads never contend on a line)
-/// and every update is a relaxed atomic add / CAS. Readers aggregate the
-/// stripes on demand — the scrape path pays the O(stripes × buckets)
-/// walk, the sample path pays nothing. The total count is derived from
+/// byte counts. Record() is O(1) and LOCK-FREE: bucket counts live in up
+/// to kStripes cacheline-aligned stripes (a writer picks its stripe by
+/// thread id, so unrelated threads never contend on a line) and every
+/// update is a relaxed atomic add / CAS. A stripe is allocated by the
+/// first sample recorded into it and installed with one CAS, so a
+/// histogram costs one stripe per writing thread rather than kStripes,
+/// and Record() is allocation-free after a thread's first sample in that
+/// histogram. Readers aggregate the live stripes on demand — the scrape
+/// path pays the O(live stripes × buckets) walk, the sample path pays
+/// nothing. The total count is derived from
 /// the bucket sums, so count and buckets can never disagree; sum and the
 /// exact min/max extremes are separate atomics, which under concurrent
 /// writers may trail the bucket counts by the handful of samples still
@@ -75,6 +79,7 @@ class Histogram {
   static constexpr int kStripes = 8;
 
   Histogram() = default;
+  ~Histogram();
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
@@ -111,6 +116,8 @@ class Histogram {
   static double BucketUpperEdge(int index);
   /// Aggregated copy of the bucket counts.
   std::array<uint64_t, kNumBuckets> buckets() const;
+  /// Stripes some thread has recorded into so far (0..kStripes).
+  int stripes_allocated() const;
 
  private:
   /// One writer shard. alignas(64) keeps stripes on distinct cache
@@ -121,13 +128,17 @@ class Histogram {
   };
 
   static size_t StripeIndex();
+  /// This thread's stripe, allocated and installed on first use.
+  Stripe& StripeForThisThread();
   /// Sums the stripes into `*out`; returns the total count.
   uint64_t AggregateBuckets(std::array<uint64_t, kNumBuckets>* out) const;
   static double QuantileFromBuckets(
       const std::array<uint64_t, kNumBuckets>& buckets, uint64_t count,
       double min, double max, double q);
 
-  std::array<Stripe, kStripes> stripes_;
+  /// Null until a thread first records into that stripe; a non-null
+  /// stripe is never replaced and is freed by the destructor.
+  std::array<std::atomic<Stripe*>, kStripes> stripes_{};
   /// Running extremes; +/-inf sentinels until the first Record lands.
   std::atomic<double> min_{std::numeric_limits<double>::infinity()};
   std::atomic<double> max_{-std::numeric_limits<double>::infinity()};

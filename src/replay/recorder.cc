@@ -46,6 +46,9 @@ Status TraceRecorder::Start() {
       TraceWriter::Open(options_.writer);
   if (!opened.ok()) return opened.status();
   writer_ = std::move(opened).ValueOrDie();
+  // Sweep swaps scratch_ into a producer's buffer; sized like the
+  // buffers, it never makes a producer regrow under its buffer lock.
+  scratch_.reserve(options_.buffer_records);
   start_ = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(writer_mu_);

@@ -106,6 +106,29 @@ TEST(HistogramTest, SingleValueQuantilesCollapse) {
   }
 }
 
+TEST(HistogramTest, StripesAreAllocatedByTheirFirstWriter) {
+  Histogram idle;
+  EXPECT_EQ(idle.stripes_allocated(), 0);
+  const Histogram::Digest empty = idle.GetDigest();
+  EXPECT_EQ(empty.count, 0u);
+  EXPECT_DOUBLE_EQ(empty.sum, 0.0);
+  EXPECT_DOUBLE_EQ(empty.min, 0.0);
+  EXPECT_DOUBLE_EQ(empty.max, 0.0);
+  EXPECT_DOUBLE_EQ(empty.p50, 0.0);
+  EXPECT_DOUBLE_EQ(empty.p95, 0.0);
+  EXPECT_DOUBLE_EQ(empty.p99, 0.0);
+  for (uint64_t n : idle.buckets()) EXPECT_EQ(n, 0u);
+  // Reading never allocates a stripe.
+  EXPECT_EQ(idle.stripes_allocated(), 0);
+
+  Histogram hist;
+  for (int i = 1; i <= 100; ++i) hist.Record(0.01 * i);
+  EXPECT_EQ(hist.stripes_allocated(), 1);
+  EXPECT_EQ(hist.count(), 100u);
+  EXPECT_DOUBLE_EQ(hist.min(), 0.01);
+  EXPECT_DOUBLE_EQ(hist.max(), 1.0);
+}
+
 // ---------------------------------------------------------------------
 // Registry
 

@@ -1,6 +1,7 @@
 // Hammers one shared obs::Telemetry from a ThreadPool's workers — the
 // exact sharing pattern the parallel replication runner uses — and
-// asserts the final counts are exact. Built into the normal test binary
+// asserts the final counts are exact; also races threads to install a
+// fresh histogram's stripes. Built into the normal test binary
 // and additionally run under -DQSCHED_SANITIZE=thread as part of the
 // parallel_replication_tsan gate, where TSan turns any missing lock in
 // the telemetry sinks into a hard failure.
@@ -8,8 +9,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <latch>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,6 +67,37 @@ TEST(TelemetryParallelTest, RegistryCountsStayExactUnderContention) {
   }
   // Shared counter + gauge + histogram + one labelled counter per worker.
   EXPECT_EQ(telemetry.registry.size(), 3u + kWorkers);
+}
+
+TEST(TelemetryParallelTest, FirstRecordsRaceToInstallStripes) {
+  // Every thread's first Record lands on an empty histogram at once, so
+  // threads hashed to one stripe race to install it. Integer samples
+  // keep the per-stripe sums exact in any order, so the result must
+  // equal a serial histogram fed the same values.
+  constexpr int kThreads = 16;
+  constexpr int kSamples = 200;
+  Histogram raced;
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      for (int i = 1; i <= kSamples; ++i) raced.Record(i);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  Histogram serial;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 1; i <= kSamples; ++i) serial.Record(i);
+  }
+  EXPECT_EQ(raced.count(), serial.count());
+  EXPECT_EQ(raced.sum(), serial.sum());
+  EXPECT_EQ(raced.buckets(), serial.buckets());
+  EXPECT_EQ(raced.min(), serial.min());
+  EXPECT_EQ(raced.max(), serial.max());
+  EXPECT_GE(raced.stripes_allocated(), 1);
+  EXPECT_LE(raced.stripes_allocated(), Histogram::kStripes);
 }
 
 TEST(TelemetryParallelTest, RecorderAcceptsConcurrentWritersAndReaders) {
